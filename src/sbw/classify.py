@@ -93,9 +93,6 @@ def covering_basis(G: Group) -> CoveringBasis:
     lm, rm = {}, {}
     for (K, P) in pairs:
         for (L, Q) in pairs:
-            # eta_T : G/L -> G/K and S = graph of an iso Q -> P force these.
-            if K.order != L.order or P.order != Q.order:
-                continue
             for cls in sections.constrained_sections(G, G, K, P, L, Q):
                 classes.append(cls)
                 lm[cls] = (K, P)
@@ -849,10 +846,12 @@ def seeds(catalog=None) -> SeedTable:
                     or a.irreducibles != b.irreducibles:
                 raise AxiomFailed(
                     "merged seed rows disagree on Gamma data")
-            ri, rj = find(i), find(j)
-            parent[max(ri, rj)] = min(ri, rj)
-            witnesses.setdefault(min(ri, rj), []).append(
-                (a.gid, _pair_key(a.rep), b.gid, _pair_key(b.rep)))
+            lo, hi = sorted((find(i), find(j)))
+            parent[hi] = lo
+            # The witnesses follow the component to its new root.
+            merged = witnesses.setdefault(lo, [])
+            merged.extend(witnesses.pop(hi, ()))
+            merged.append((a.gid, _pair_key(a.rep), b.gid, _pair_key(b.rep)))
     grouped = {}
     for i, entry in enumerate(candidates):
         grouped.setdefault(find(i), []).append(entry)

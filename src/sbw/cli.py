@@ -62,6 +62,9 @@ def _subgroup(G, text: str, name: str):
         elems = tuple(sorted({int(x) for x in text.split(",") if x.strip()}))
     except ValueError:
         raise WorkbenchError(f"--{name} needs a comma separated element list")
+    if elems and not 0 <= elems[0] <= elems[-1] < G.order:
+        raise WorkbenchError(
+            f"--{name} elements must lie in 0..{G.order - 1}")
     return G.subgroup(elems)
 
 

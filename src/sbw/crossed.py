@@ -284,15 +284,26 @@ def link_section(G: Group, K: Subgroup, P: Subgroup,
     qview = coset_structure(H, Q, H.trivial_subgroup())
     alpha, beta = m.alpha.images, m.beta.images
     ho = H.order
-    t_elems = []
+    g_cosets = [[] for _ in range(gk.group.order)]
+    for g in range(G.order):
+        g_cosets[gk.idx(g)].append(g)
+    h_cosets = [[] for _ in range(hl.group.order)]
     for h in range(ho):
-        target = beta[hl.idx(h)]
-        for g in range(G.order):
-            if gk.idx(g) == target:
-                t_elems.append(g * ho + h)
-    s_elems = [pview.rep(alpha[qview.idx(q)]) * ho + q for q in Q.elems]
-    T = Subgroup(ambient, t_elems, check=False)
-    S = Subgroup(ambient, s_elems, check=False)
+        h_cosets[hl.idx(h)].append(h)
+    t_elems = [g * ho + h for j, hs in enumerate(h_cosets)
+               for h in hs for g in g_cosets[beta[j]]]
+    # T is generated by a lift of each generator of G, K x 1 and 1 x L;
+    # S, the graph of alpha, by its values on the generators of Q.
+    pre = {c: j for j, c in enumerate(beta)}
+    t_gens = ([x * ho + h_cosets[pre[gk.idx(x)]][0] for x in G.generators()]
+              + [k * ho for k in K.generators()] + list(L.generators()))
+
+    def graph(q):
+        return pview.rep(alpha[qview.idx(q)]) * ho + q
+
+    T = Subgroup(ambient, t_elems, gens=t_gens, check=False)
+    S = Subgroup(ambient, map(graph, Q.elems),
+                 gens=map(graph, Q.generators()), check=False)
     return Section(ambient, T, S)
 
 

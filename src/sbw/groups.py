@@ -27,6 +27,7 @@ from .errors import (
     NotNormal,
     NotSubgroup,
     OrderLimitExceeded,
+    WorkbenchError,
 )
 
 DEFAULT_ORDER_CAP = 512
@@ -36,7 +37,11 @@ def order_cap() -> int:
     """Current order cap; the SBW_MAX_ORDER environment variable overrides."""
     env = os.environ.get("SBW_MAX_ORDER")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise WorkbenchError(
+                f"SBW_MAX_ORDER must be an integer, not {env!r}") from None
     return DEFAULT_ORDER_CAP
 
 
@@ -99,6 +104,8 @@ class Group:
         self._elem_orders: Optional[tuple] = None
         self._generators: Optional[tuple] = None
         self._abelian: Optional[bool] = None
+        self._full: Optional[Subgroup] = None
+        self._trivial: Optional[Subgroup] = None
 
     # -- basic arithmetic ------------------------------------------------
     def mul(self, a: int, b: int) -> int:
@@ -162,10 +169,15 @@ class Group:
         return Subgroup(self, elems, gens=gens, check=check)
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (0,), gens=(), check=False)
+        if self._trivial is None:
+            self._trivial = Subgroup(self, (0,), gens=(), check=False)
+        return self._trivial
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, range(self.order), gens=self.generators(), check=False)
+        if self._full is None:
+            self._full = Subgroup(self, range(self.order),
+                                  gens=self.generators(), check=False)
+        return self._full
 
     # -- direct product helpers --------------------------------------------
     def pair(self, a: int, b: int) -> int:

@@ -445,6 +445,10 @@ def constrained_sections(G: Group, H: Group, K: Subgroup, P: Subgroup,
     instead of the full subgroup lattice of the product.  Only meaningful
     when K, P are normal in G and L, Q normal in H (the covering case).
     """
+    # etaT: H/L -> G/K and etaS: Q -> P are isomorphisms, so unequal
+    # orders leave no class at all.
+    if G.order // K.order != H.order // L.order or P.order != Q.order:
+        return ()
     ambient = direct_product(G, H)
     cache = getattr(ambient, "_constrained_cache", None)
     if cache is None:
@@ -469,7 +473,9 @@ def constrained_sections(G: Group, H: Group, K: Subgroup, P: Subgroup,
             cosets[hi[h]].append(h)
         kl_gens = [k * ho for k in K.generators()] + list(L.generators())
         q_gens = Q.generators()
-        q_all = Q.elems
+        # A pair (etaT, etaS) fits when gi[alpha(q)] == etaT(hi[q]) on the
+        # generators of Q, alpha = etaS read in G; join on those values.
+        by_key: dict = {}
         for etat in etats:
             pre = {c: j for j, c in enumerate(etat.images)}
             t_elems = tuple([g * ho + h for g in range(go)
@@ -477,20 +483,20 @@ def constrained_sections(G: Group, H: Group, K: Subgroup, P: Subgroup,
             # T is generated by K x 1, 1 x L and a lift of each generator of G.
             t_gens = [x * ho + cosets[pre[gi[x]]][0]
                       for x in G.generators()] + kl_gens
-            for etas in etass:
-                def alpha(x, _im=etas.images):
-                    return pv.rep(_im[qv.idx(x)])
-                ok = all(
-                    gi[alpha(q)] == etat.images[hi[q]] for q in q_gens)
-                if not ok:
-                    continue
-                s_elems = frozenset(alpha(q) * ho + q for q in q_all)
-                s_gens = [alpha(q) * ho + q for q in q_gens]
-                if not all(ambient.conj(t, s) in s_elems
-                           for t in t_gens for s in s_gens):
-                    continue
-                out.add(canonical_section(
-                    ambient, t_elems, tuple(sorted(s_elems))))
+            by_key.setdefault(tuple(etat.images[hi[q]] for q in q_gens),
+                              []).append((t_elems, t_gens))
+        for etas in etass:
+            alpha = {q: pv.rep(etas.images[qv.idx(q)]) for q in Q.elems}
+            fits = by_key.get(tuple(gi[alpha[q]] for q in q_gens))
+            if fits is None:
+                continue
+            s_elems = frozenset(a * ho + q for q, a in alpha.items())
+            s_sorted = tuple(sorted(s_elems))
+            s_gens = [alpha[q] * ho + q for q in q_gens]
+            for t_elems, t_gens in fits:
+                if all(ambient.conj(t, s) in s_elems
+                       for t in t_gens for s in s_gens):
+                    out.add(canonical_section(ambient, t_elems, s_sorted))
     result = tuple(sorted(out))
     cache[key] = result
     return result

@@ -47,14 +47,20 @@ class VerifyReport:
 
 
 def _run(out: list, suite: str, name: str, tag: str, fn: Callable) -> None:
-    """Run one check; a WorkbenchError or AssertionError marks it failed."""
+    """Run one check; a WorkbenchError or AssertionError marks it failed.
+
+    Any other exception is a bug in the workbench: the check is recorded
+    as failed with tag ``internal-error`` and the remaining checks run on.
+    """
     t0 = time.perf_counter()
     try:
         detail = fn()
         ok = True
-    except (WorkbenchError, AssertionError) as exc:
+    except Exception as exc:
         detail = f"{type(exc).__name__}: {exc}"
         ok = False
+        if not isinstance(exc, (WorkbenchError, AssertionError)):
+            tag = "internal-error"
     out.append(Check(suite=suite, name=name, tag=tag, ok=ok,
                      detail=detail if isinstance(detail, str) else "",
                      seconds=round(time.perf_counter() - t0, 3)))

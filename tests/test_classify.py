@@ -251,6 +251,21 @@ def test_transport_requires_linked_triples():
         classify.transport_check((C2, one, one), (C2, full, full))
 
 
+def _assert_witnesses_span(row):
+    """The witness edges of a merged row connect all of its entries."""
+    nodes = {(e.gid, (e.rep[0].elems, e.rep[1].elems)) for e in row.entries}
+    root = {v: v for v in nodes}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for gid_a, rep_a, gid_b, rep_b in row.witnesses:
+        root[find((gid_a, rep_a))] = find((gid_b, rep_b))
+    assert len({find(v) for v in nodes}) == 1
+
+
 def test_seed_table_over_the_full_catalog():
     table = classify.seeds(CAT)
     assert len(table.rows) == 85
@@ -266,6 +281,7 @@ def test_seed_table_over_the_full_catalog():
         if len(gids) > 1:
             merged[gids] = merged.get(gids, 0) + 1
             assert len(row.witnesses) == len(row.entries) - 1
+            _assert_witnesses_span(row)
         else:
             assert row.witnesses == ()
     assert merged == {

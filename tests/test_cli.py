@@ -119,6 +119,23 @@ def test_gamma_group_rejects_bad_subgroup_text(capsys):
     assert data["error"]["type"] == "error"
 
 
+def test_gamma_group_rejects_elements_outside_the_group(capsys):
+    code, data = run_json(capsys, "gamma-group", "--group", "S3",
+                          "--K", "0,99", "--P", "0")
+    assert code == 1
+    assert data["error"]["type"] == "error"
+    assert "0..5" in data["error"]["message"]
+
+
+def test_non_integer_order_cap_is_reported(capsys, monkeypatch):
+    monkeypatch.setenv("SBW_MAX_ORDER", "abc")
+    code, data = run_json(capsys, "group", "info", "--group",
+                          '{"construct": "cyclic", "args": [4]}')
+    assert code == 1
+    assert data["error"]["type"] == "error"
+    assert "SBW_MAX_ORDER" in data["error"]["message"]
+
+
 def test_decompose(capsys):
     code, data = run_json(capsys, "decompose", "--group", "C3")
     assert code == 0

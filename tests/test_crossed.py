@@ -2,7 +2,7 @@
 
 import pytest
 
-from sbw import catalog, crossed, gamma, groups, sections
+from sbw import catalog, crossed, gamma, groups, posets, sections
 from sbw.errors import AxiomFailed, NotInPoset
 
 CAT = catalog.default_catalog()
@@ -74,6 +74,19 @@ def test_d8_q8_central_pairs_share_a_fingerprint():
     cm_d = crossed.from_pair(D8, groups.center(D8), cyclic4_subgroup(D8))
     cm_q = crossed.from_pair(Q8, groups.center(Q8), cyclic4_subgroup(Q8))
     assert cm_d.fingerprint() == cm_q.fingerprint()
+
+
+def test_link_witnesses_lie_in_the_constrained_sections():
+    D8, Q8 = cg("D8"), cg("Q8")
+    n = 0
+    for K, P in posets.normal_commuting_pairs(D8):
+        for L, Q in posets.normal_commuting_pairs(Q8):
+            w = crossed.linked(D8, K, P, Q8, L, Q)
+            if w is not None:
+                n += 1
+                assert w.section.classify() in \
+                    sections.constrained_sections(D8, Q8, K, P, L, Q)
+    assert n > 0
 
 
 def test_d8_q8_central_pairs_are_linked():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sbw import sections
+from sbw import posets, sections
 from sbw.catalog import catalog_group as cg
 from sbw.errors import ConditionViolated, NotNormal, NotSubgroup
 from sbw.groups import direct_product, generated_subgroup
@@ -170,6 +170,26 @@ def test_constrained_sections_find_the_q8_d8_bimodule():
         assert (mk.elems, mp.elems) == (K.elems, P.elems)
         ml, mq = sections.middle_right(cls)
         assert (ml.elems, mq.elems) == (L.elems, Q.elems)
+
+
+@pytest.mark.parametrize("gid_g,gid_h", [
+    ("C2xC2", "C4"), ("C4", "C2xC2"), ("S3", "S3"), ("C2", "S3"),
+    ("C2xC2", "C2xC2"),
+])
+def test_constrained_sections_match_brute_force(gid_g, gid_h):
+    G, H = cg(gid_g), cg(gid_h)
+    by_middles = {}
+    for cls in sections.enumerate_sections(direct_product(G, H)):
+        if sections.is_covering(cls):
+            middles = sections.middle_left(cls) + sections.middle_right(cls)
+            by_middles.setdefault(tuple(m.elems for m in middles),
+                                  []).append(cls)
+    for K, P in posets.normal_commuting_pairs(G):
+        for L, Q in posets.normal_commuting_pairs(H):
+            key = (K.elems, P.elems, L.elems, Q.elems)
+            expected = tuple(sorted(by_middles.get(key, ())))
+            assert sections.constrained_sections(G, H, K, P, L, Q) \
+                == expected, key
 
 
 def test_star_product_size_of_diagonals():

@@ -66,3 +66,27 @@ def test_every_check_carries_a_tag():
     for c in report.checks:
         assert c.tag
         assert c.suite == "mackey"
+
+
+def test_unexpected_exception_is_recorded_and_later_checks_run():
+    out = []
+
+    def broken():
+        raise KeyError("lost")
+
+    verify._run(out, "demo", "broken", "demo-tag", broken)
+    verify._run(out, "demo", "after", "demo-tag", lambda: "fine")
+    assert [(c.name, c.ok, c.tag, c.detail) for c in out] == [
+        ("broken", False, "internal-error", "KeyError: 'lost'"),
+        ("after", True, "demo-tag", "fine"),
+    ]
+
+
+def test_a_suite_survives_a_bug_in_every_check(monkeypatch):
+    def broken(*args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(verify.crossed, "linked", broken)
+    checks = verify.suite_linkage(max_order=2)
+    assert len(checks) == 3
+    assert all(not c.ok and c.tag == "internal-error" for c in checks)
