@@ -7,6 +7,7 @@ rely on when searching for smaller linked triples.
 
 from dataclasses import dataclass
 
+from . import memo
 from .groups import (Group, cyclic, dihedral, direct_product, quaternion,
                      symmetric)
 
@@ -46,14 +47,11 @@ class Catalog:
                            if m <= max_order))
 
 
-_DEFAULT = None
-
-
 def default_catalog() -> Catalog:
     """All 14 isomorphism types of order <= 8, in (order, id) order."""
-    global _DEFAULT
-    if _DEFAULT is not None:
-        return _DEFAULT
+    cache = memo.table(None, "default_catalog")
+    if cache:
+        return cache[None]
     c2 = cyclic(2)
     c4 = cyclic(4)
     entries = [
@@ -75,9 +73,9 @@ def default_catalog() -> Catalog:
         CatalogEntry("Q8", quaternion(8), "quaternion group"),
     ]
     entries.sort(key=lambda e: (e.group.order, e.gid))
-    _DEFAULT = Catalog(entries=tuple(entries),
-                       complete_orders=frozenset(range(1, 9)))
-    return _DEFAULT
+    cache[None] = Catalog(entries=tuple(entries),
+                          complete_orders=frozenset(range(1, 9)))
+    return cache[None]
 
 
 def catalog_group(gid: str) -> Group:

@@ -8,11 +8,11 @@ verified rather than assumed: a failed identity raises a typed error instead
 of producing a report.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import crossed, gamma, posets, sections
+from . import crossed, gamma, memo, posets, sections
 from .errors import (AxiomFailed, DecompositionMismatch, IncompleteCatalog,
                      NotInPoset)
 from .groups import (Group, Subgroup, conjugacy_classes, direct_product,
@@ -63,12 +63,6 @@ def rational_rank(vectors) -> int:
     return len(pivots)
 
 
-def in_span(vec, vectors) -> bool:
-    """Whether vec lies in the rational span of the given sparse vectors."""
-    basis = list(vectors)
-    return rational_rank(basis) == rational_rank(basis + [dict(vec)])
-
-
 # -- covering basis -----------------------------------------------------------
 
 @dataclass
@@ -84,10 +78,8 @@ class CoveringBasis:
     right_middle: dict    # class -> (L, Q) with L = k2(T), Q = p2(S)
 
 
+@memo.once
 def covering_basis(G: Group) -> CoveringBasis:
-    cached = getattr(G, "_covering_basis", None)
-    if cached is not None:
-        return cached
     pairs = posets.normal_commuting_pairs(G)
     classes = []
     lm, rm = {}, {}
@@ -104,7 +96,6 @@ def covering_basis(G: Group) -> CoveringBasis:
         if not sections.is_covering(cls):
             raise AxiomFailed("constrained enumeration produced a "
                               "non-covering class")
-    G._covering_basis = basis
     return basis
 
 
@@ -139,10 +130,8 @@ def _pair_key(pair) -> tuple:
     return (pair[0].elems, pair[1].elems)
 
 
+@memo.once
 def linkage_partition(G: Group) -> LinkagePartition:
-    cached = getattr(G, "_linkage_partition", None)
-    if cached is not None:
-        return cached
     pairs = posets.normal_commuting_pairs(G)
     buckets = {}
     for p in pairs:
@@ -180,11 +169,9 @@ def linkage_partition(G: Group) -> LinkagePartition:
                     if leq[j][k] and not leq[i][k]:
                         raise AxiomFailed("induced order between linkage "
                                           "classes is not transitive")
-    part = LinkagePartition(group=G, pairs=pairs, blocks=blocks,
+    return LinkagePartition(group=G, pairs=pairs, blocks=blocks,
                             block_of=block_of,
                             leq=tuple(tuple(row) for row in leq))
-    G._linkage_partition = part
-    return part
 
 
 # -- the groups Gamma_(G,K,P) -------------------------------------------------
@@ -222,9 +209,7 @@ class GammaGroup:
 
 
 def gamma_group(G: Group, K: Subgroup, P: Subgroup) -> GammaGroup:
-    cache = getattr(G, "_gamma_cache", None)
-    if cache is None:
-        cache = G._gamma_cache = {}
+    cache = memo.table(G, "gamma_group")
     key = (K.elems, P.elems)
     if key in cache:
         return cache[key]
@@ -280,70 +265,6 @@ def bimodule_set(tripleG, tripleH) -> tuple:
     return sections.constrained_sections(G, H, K, P, L, Q)
 
 
-def bimodule_report(tripleG, tripleH) -> dict:
-    """Check that the two Gamma groups act on the bimodule set regularly.
-
-    Left and right actions are single-class with the expected multiplicity,
-    transitive, free, and commute with each other.
-    """
-    G, K, P = tripleG
-    H, L, Q = tripleH
-    bset = bimodule_set(tripleG, tripleH)
-    gg = gamma_group(G, K, P)
-    gh = gamma_group(H, L, Q)
-    report = {
-        "size": len(bset),
-        "left_order": gg.order,
-        "right_order": gh.order,
-        "sizes_match": len(bset) == gg.order == gh.order,
-    }
-    if not bset:
-        report["empty"] = True
-        return report
-    bset_set = set(bset)
-
-    def act(x, b, scale, flip):
-        prod = (gamma.compose_classes(b, x) if flip
-                else gamma.compose_classes(x, b))
-        if len(prod) != 1:
-            raise AxiomFailed("bimodule action is not single-class")
-        (c, mult), = prod.items()
-        if mult != scale or c not in bset_set:
-            raise AxiomFailed("bimodule action left the set or has the "
-                              "wrong multiplicity")
-        return c
-
-    left = {x: tuple(act(x, b, gg.scale, False) for b in bset)
-            for x in gg.classes}
-    right = {y: tuple(act(y, b, gh.scale, True) for b in bset)
-             for y in gh.classes}
-    report["left_identity"] = left[gg.classes[0]] == bset
-    report["right_identity"] = right[gh.classes[0]] == bset
-    report["left_transitive"] = len(
-        {img[0] for img in left.values()}) == len(bset)
-    report["left_free"] = all(
-        all(img[i] != bset[i] for i in range(len(bset)))
-        for x, img in left.items() if x != gg.classes[0])
-    report["right_transitive"] = len(
-        {img[0] for img in right.values()}) == len(bset)
-    report["right_free"] = all(
-        all(img[i] != bset[i] for i in range(len(bset)))
-        for y, img in right.items() if y != gh.classes[0])
-    commute = True
-    for x in gg.classes:
-        for y in gh.classes:
-            for i, b in enumerate(bset):
-                xb = left[x][i]
-                by = right[y][i]
-                if act(y, xb, gh.scale, True) != act(x, by, gg.scale, False):
-                    commute = False
-    report["actions_commute"] = commute
-    report["ok"] = all(report.get(k, True) for k in (
-        "sizes_match", "left_identity", "right_identity", "left_transitive",
-        "left_free", "right_transitive", "right_free", "actions_commute"))
-    return report
-
-
 # -- matrix shape of the covering algebra -------------------------------------
 
 @dataclass
@@ -365,9 +286,7 @@ class MatrixReport:
 
 
 def _f_elements(G: Group):
-    cache = getattr(G, "_f_cache", None)
-    if cache is None:
-        cache = G._f_cache = {}
+    cache = memo.table(G, "f_idempotent")
 
     def get(pair):
         key = _pair_key(pair)
@@ -578,9 +497,7 @@ _READING_NOTE = (
 
 def essential_report(G: Group, catalog=None) -> EssentialReport:
     groups = _catalog_groups(catalog)
-    cache = getattr(G, "_essential_cache", None)
-    if cache is None:
-        cache = G._essential_cache = {}
+    cache = memo.table(G, "essential_report")
     key = tuple((gid, H.digest) for gid, H in groups)
     if key in cache:
         return cache[key]

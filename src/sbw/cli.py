@@ -15,8 +15,8 @@ import os
 from . import catalog as catalogs
 from . import classify, gamma, jsonio, posets, sections, verify
 from .errors import WorkbenchError
-from .groups import (automorphism_group, conjugacy_classes, direct_product,
-                     normal_subgroups, subgroup_lattice)
+from .groups import (automorphism_group, center, conjugacy_classes,
+                     direct_product, normal_subgroups, subgroup_lattice)
 
 
 def _load_json(text: str, what: str):
@@ -72,15 +72,12 @@ def _subgroup(G, text: str, name: str):
 
 def cmd_group_info(args):
     G = _group(args)
-    rng = range(G.order)
-    abelian = all(G.mul(a, b) == G.mul(b, a) for a in rng for b in rng)
-    center = [z for z in rng if all(G.mul(z, g) == G.mul(g, z) for g in rng)]
     lat = subgroup_lattice(G)
     payload = {
         "group": jsonio.group_to_json(G),
         "digest": G.digest,
-        "abelian": abelian,
-        "center": center,
+        "abelian": G.is_abelian(),
+        "center": list(center(G).elems),
         "conjugacy_classes": [sorted(c) for c in conjugacy_classes(G)],
         "subgroups": len(lat.all),
         "subgroup_classes": len(lat.classes),

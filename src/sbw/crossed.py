@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import memo
 from .errors import AxiomFailed, NotAutomorphism, NotInPoset, NotIso
 from .groups import (
-    CosetView,
     Group,
     Hom,
     Subgroup,
@@ -37,6 +37,7 @@ class CrossedModule:
         self.boundary = boundary
         self.action = tuple(tuple(row) for row in action)
         self._fingerprint = None
+        self._memo = memo.tables()
         if check:
             self._validate()
 
@@ -141,9 +142,7 @@ def in_poset(G: Group, K: Subgroup, P: Subgroup) -> bool:
 
 def from_pair(G: Group, K: Subgroup, P: Subgroup) -> CrossedModule:
     """The crossed module (P, G/K, i_P) attached to a commuting normal pair."""
-    cache = getattr(G, "_pair_cm_cache", None)
-    if cache is None:
-        cache = G._pair_cm_cache = {}
+    cache = memo.table(G, "from_pair")
     key = (K.elems, P.elems)
     hit = cache.get(key)
     if hit is not None:
@@ -234,10 +233,8 @@ class AutOut:
     out_reps: tuple       # aut indices representing the cosets of inn
 
 
+@memo.once
 def aut_out(cm: CrossedModule) -> AutOut:
-    cached = getattr(cm, "_aut_out", None)
-    if cached is not None:
-        return cached
     auts = iso_search(cm, cm)
     auts.sort(key=lambda m: (m.alpha.images, m.beta.images))
     index = {(m.alpha.images, m.beta.images): i for i, m in enumerate(auts)}
@@ -254,11 +251,9 @@ def aut_out(cm: CrossedModule) -> AutOut:
     inn = Subgroup(group, set(theta_images), check=False)
     out_group, pi = quotient(group, inn)
     out_reps = tuple(out_group._coset_reps)
-    result = AutOut(module=cm, group=group, auts=tuple(auts), inn=inn,
-                    theta_images=theta_images, out_group=out_group,
-                    out_reps=out_reps)
-    cm._aut_out = result
-    return result
+    return AutOut(module=cm, group=group, auts=tuple(auts), inn=inn,
+                  theta_images=theta_images, out_group=out_group,
+                  out_reps=out_reps)
 
 
 @dataclass
@@ -320,8 +315,12 @@ def linked(G: Group, K: Subgroup, P: Subgroup,
     """A witness that (G,K,P,1) and (H,L,Q,1) are linked, or None.
 
     Linkage holds exactly when the conjugation crossed modules of the two
-    pairs are isomorphic; the witness section realizes the link.
+    pairs are isomorphic; the witness section realizes the link.  Crossed
+    modules of different orders are never isomorphic, so an order mismatch
+    returns None before either module is built.
     """
+    if G.order // K.order != H.order // L.order or P.order != Q.order:
+        return None
     cm_g = from_pair(G, K, P)
     cm_h = from_pair(H, L, Q)
     found = iso_search(cm_h, cm_g, limit=1)

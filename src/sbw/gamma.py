@@ -8,8 +8,8 @@ is the bilinear extension of
                     ( T * (t,1)V,  S * (t,1)U )
 
 where * is relational composition and (t,1) twists the left coordinate.
-Class-level products are memoized globally; all coefficients are exact
-fractions.
+Class-level products are memoized in process-wide tables (see ``memo``);
+all coefficients are exact fractions.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from .groups import (
     double_cosets,
     quotient,
 )
-from . import crossed
+from . import crossed, memo
 from .sections import (
     BYTE_BITS,
-    Section,
     SectionClass,
     bit_indices,
     canonical_section,
@@ -111,10 +110,6 @@ def basis_element(G: Group, H: Group, cls: SectionClass,
     return GammaElement(G, H, {cls: Fraction(coeff)})
 
 
-def from_section(G: Group, H: Group, section: Section) -> GammaElement:
-    return basis_element(G, H, section.classify())
-
-
 def identity_element(G: Group) -> GammaElement:
     """The class of (diag(G), diag(G)), the identity of Gamma(G, G)."""
     ambient = direct_product(G, G)
@@ -122,10 +117,10 @@ def identity_element(G: Group) -> GammaElement:
     return basis_element(G, G, canonical_section(ambient, diag, diag))
 
 
-_CLASS_COMPOSE: dict = {}
+_CLASS_COMPOSE = memo.table(None, "compose_classes")
 # Few distinct products recur across many class pairs, so equal results
 # share one dict: product items -> that dict.
-_PRODUCTS: dict = {}
+_PRODUCTS = memo.table(None, "class_products")
 
 
 def _star_rows(a_rows: tuple, b_rows) -> list:

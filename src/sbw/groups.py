@@ -4,8 +4,9 @@ Everything downstream (sections of direct products, the composition
 calculus, the classification reports) manipulates these table groups.
 Groups are immutable after construction and all functions here are pure,
 so expensive results (subgroup lattices, isomorphism lists, quotients)
-are memoized on the group objects themselves.  Concurrent readers only
-ever race to store identical values, so the caches stay consistent.
+are memoized in each group's own tables (see ``memo``); only interned
+direct products are memoized process-wide.  Concurrent readers only ever
+race to store identical values, so the tables stay consistent.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import memo
 from .errors import (
     MixedParents,
     NoIdentity,
@@ -106,6 +108,7 @@ class Group:
         self._abelian: Optional[bool] = None
         self._full: Optional[Subgroup] = None
         self._trivial: Optional[Subgroup] = None
+        self._memo = memo.tables()
 
     # -- basic arithmetic ------------------------------------------------
     def mul(self, a: int, b: int) -> int:
@@ -155,13 +158,7 @@ class Group:
     def generators(self) -> tuple:
         """A small generating sequence, grown by least element not yet generated."""
         if self._generators is None:
-            gens: list = []
-            closure = {0}
-            while len(closure) < self.order:
-                g = min(x for x in range(self.order) if x not in closure)
-                gens.append(g)
-                closure = closure_set(self, gens)
-            self._generators = tuple(gens)
+            self._generators = _least_generators(self, range(self.order))
         return self._generators
 
     # -- subgroup shorthands ----------------------------------------------
@@ -221,6 +218,17 @@ def closure_set(G: Group, gens: Sequence[int]) -> set:
     return elems
 
 
+def _least_generators(G: Group, elems: Sequence[int]) -> tuple:
+    """Generators of the subgroup on ``elems``, each the least element not
+    yet generated."""
+    gens: list = []
+    closure = {0}
+    while len(closure) < len(elems):
+        gens.append(min(x for x in elems if x not in closure))
+        closure = closure_set(G, gens)
+    return tuple(gens)
+
+
 class Subgroup:
     """A subgroup of a fixed parent group, stored as a sorted element tuple."""
 
@@ -259,13 +267,7 @@ class Subgroup:
         if self.gens is not None:
             return self.gens
         if self._gen_cache is None:
-            gens: list = []
-            closure = {0}
-            while len(closure) < self.order:
-                g = min(x for x in self.elems if x not in closure)
-                gens.append(g)
-                closure = closure_set(self.parent, gens)
-            self._gen_cache = tuple(gens)
+            self._gen_cache = _least_generators(self.parent, self.elems)
         return self._gen_cache
 
     def contains(self, other: "Subgroup") -> bool:
@@ -299,11 +301,6 @@ def generated_subgroup(G: Group, gens: Sequence[int]) -> Subgroup:
     return Subgroup(G, closure_set(G, tuple(gens)), gens=tuple(gens), check=False)
 
 
-def conjugate_subgroup(g: int, H: Subgroup) -> Subgroup:
-    perm = H.parent.conj_perm(g)
-    return Subgroup(H.parent, (perm[x] for x in H.elems), check=False)
-
-
 def _require_same_parent(*subs: Subgroup) -> Group:
     parent = subs[0].parent
     for s in subs[1:]:
@@ -332,18 +329,6 @@ def centralizer(G: Group, X: Subgroup) -> Subgroup:
 
 def center(G: Group) -> Subgroup:
     return centralizer(G, G.full_subgroup())
-
-
-def commutator_subgroup(A: Subgroup, B: Subgroup) -> Subgroup:
-    """The subgroup generated by all commutators [a,b], a in A, b in B."""
-    G = _require_same_parent(A, B)
-    table, inv = G.table, G._inv
-    comms = set()
-    for a in A.elems:
-        for b in B.elems:
-            comms.add(table[table[a][b]][table[inv[a]][inv[b]]])
-    comms.discard(0)
-    return generated_subgroup(G, sorted(comms))
 
 
 def commute_elementwise(A: Subgroup, B: Subgroup) -> bool:
@@ -399,6 +384,7 @@ class SubgroupLattice:
     by_elems: dict    # frozenset -> Subgroup
 
 
+@memo.once
 def subgroup_lattice(G: Group) -> SubgroupLattice:
     """All subgroups via closure of generated sets over a worklist.
 
@@ -406,9 +392,6 @@ def subgroup_lattice(G: Group) -> SubgroupLattice:
     subgroup by one new generator.  This touches each subgroup once per
     redundant generator but never scans the power set.
     """
-    cached = getattr(G, "_lattice", None)
-    if cached is not None:
-        return cached
     found: dict = {frozenset((0,)): ()}
     frontier = [(frozenset((0,)), ())]
     while frontier:
@@ -449,15 +432,8 @@ def subgroup_lattice(G: Group) -> SubgroupLattice:
             assigned[m.elem_set] = True
         classes.append(SubgroupClass(rep=members[0], members=members))
     classes.sort(key=lambda c: (c.rep.order, c.rep.elems))
-    lattice = SubgroupLattice(group=G, all=tuple(subs), classes=tuple(classes),
-                              by_elems=by_elems)
-    G._lattice = lattice
-    return lattice
-
-
-def enumerate_subgroups(G: Group) -> list:
-    """Conjugacy classes of subgroups with canonical (least-elems) reps."""
-    return list(subgroup_lattice(G).classes)
+    return SubgroupLattice(group=G, all=tuple(subs), classes=tuple(classes),
+                           by_elems=by_elems)
 
 
 def normal_subgroups(G: Group) -> list:
@@ -465,11 +441,9 @@ def normal_subgroups(G: Group) -> list:
     return [c.rep for c in subgroup_lattice(G).classes if len(c.members) == 1]
 
 
+@memo.once
 def conjugacy_classes(G: Group) -> tuple:
     """Conjugacy classes of elements as sorted tuples, least member first."""
-    cached = getattr(G, "_conj_classes", None)
-    if cached is not None:
-        return cached
     gens = G.generators()
     seen = [False] * G.order
     classes = []
@@ -488,9 +462,7 @@ def conjugacy_classes(G: Group) -> tuple:
         for y in orbit:
             seen[y] = True
         classes.append(tuple(sorted(orbit)))
-    result = tuple(classes)
-    G._conj_classes = result
-    return result
+    return tuple(classes)
 
 
 # -- homomorphisms ---------------------------------------------------------
@@ -545,26 +517,13 @@ class Hom:
         return f"Hom({self.source.name}->{self.target.name}, {self.images})"
 
 
-def identity_hom(G: Group) -> Hom:
-    return Hom(G, G, range(G.order), check=False)
-
-
-def compose_homs(f: Hom, g: Hom) -> Hom:
-    """f after g."""
-    if g.target.digest != f.source.digest:
-        raise MixedParents("homomorphisms do not compose")
-    return Hom(g.source, f.target, tuple(f.images[x] for x in g.images), check=False)
-
-
 def isomorphisms(G: Group, H: Group, limit: Optional[int] = None) -> list:
     """All isomorphisms G -> H by generator-image backtracking.
 
     Candidate images are filtered by element order and tried in index
     order, so the output order is deterministic.  Results are cached.
     """
-    cache = getattr(G, "_iso_cache", None)
-    if cache is None:
-        cache = G._iso_cache = {}
+    cache = memo.table(G, "isomorphisms")
     if H.digest in cache:
         full = cache[H.digest]
         return full if limit is None else full[:limit]
@@ -627,21 +586,15 @@ def isomorphisms(G: Group, H: Group, limit: Optional[int] = None) -> list:
     return out
 
 
-def are_isomorphic(G: Group, H: Group) -> bool:
-    return bool(isomorphisms(G, H, limit=1))
-
-
 @dataclass
 class AutomorphismGroup:
     group: Group      # composition table of the automorphisms
     homs: tuple       # homs[i] is the automorphism with table index i
 
 
+@memo.once
 def automorphism_group(G: Group) -> AutomorphismGroup:
     """Aut(G) as a table group; index 0 is the identity automorphism."""
-    cached = getattr(G, "_aut_group", None)
-    if cached is not None:
-        return cached
     homs = sorted(isomorphisms(G, G), key=lambda h: h.images)
     index = {h.images: i for i, h in enumerate(homs)}
     n = len(homs)
@@ -650,18 +603,10 @@ def automorphism_group(G: Group) -> AutomorphismGroup:
         for j, g in enumerate(homs):
             table[i][j] = index[tuple(f.images[x] for x in g.images)]
     group = Group(table, name=f"Aut({G.name})", max_order=max(n, order_cap()))
-    result = AutomorphismGroup(group=group, homs=tuple(homs))
-    G._aut_group = result
-    return result
+    return AutomorphismGroup(group=group, homs=tuple(homs))
 
 
 # -- constructors ------------------------------------------------------------
-
-
-def group_from_table(table, name: str = "G", max_order: Optional[int] = None,
-                     spec=None) -> Group:
-    return Group(table, name=name, max_order=max_order, spec=spec)
-
 
 def group_from_perm_gens(perm_gens, name: str = "G",
                          max_order: Optional[int] = None, spec=None) -> Group:
@@ -771,7 +716,7 @@ def symmetric(n: int, max_order: Optional[int] = None) -> Group:
     return G
 
 
-_PRODUCT_REGISTRY: dict = {}
+_PRODUCT_REGISTRY = memo.table(None, "direct_product")
 
 
 def direct_product(G: Group, H: Group, max_order: Optional[int] = None) -> Group:
@@ -805,30 +750,6 @@ def direct_product(G: Group, H: Group, max_order: Optional[int] = None) -> Group
     return P
 
 
-def product_projections(P: Group) -> tuple:
-    """(p1, p2) as Homs from the product onto its factors."""
-    from .errors import NotAProduct
-    if P.factors is None:
-        raise NotAProduct(f"{P.name} carries no factor metadata")
-    G, H = P.factors
-    ho = H.order
-    p1 = Hom(P, G, tuple(x // ho for x in range(P.order)), check=False)
-    p2 = Hom(P, H, tuple(x % ho for x in range(P.order)), check=False)
-    return p1, p2
-
-
-def product_injections(P: Group) -> tuple:
-    """(i1, i2) as Homs from the factors into the product."""
-    from .errors import NotAProduct
-    if P.factors is None:
-        raise NotAProduct(f"{P.name} carries no factor metadata")
-    G, H = P.factors
-    ho = H.order
-    i1 = Hom(G, P, tuple(g * ho for g in range(G.order)), check=False)
-    i2 = Hom(H, P, tuple(range(ho)), check=False)
-    return i1, i2
-
-
 def quotient(G: Group, N: Subgroup) -> tuple:
     """(Q, pi): the quotient on least-element coset representatives.
 
@@ -836,9 +757,7 @@ def quotient(G: Group, N: Subgroup) -> tuple:
     """
     if N.parent.digest != G.digest:
         raise MixedParents("subgroup of a different group")
-    cache = getattr(G, "_quotient_cache", None)
-    if cache is None:
-        cache = G._quotient_cache = {}
+    cache = memo.table(G, "quotient")
     hit = cache.get(N.elems)
     if hit is not None:
         return hit
@@ -869,9 +788,7 @@ def quotient(G: Group, N: Subgroup) -> tuple:
 def as_group(P: Subgroup) -> tuple:
     """(S, to_parent): the subgroup as a standalone group plus the index map."""
     G = P.parent
-    cache = getattr(G, "_as_group_cache", None)
-    if cache is None:
-        cache = G._as_group_cache = {}
+    cache = memo.table(G, "as_group")
     hit = cache.get(P.elems)
     if hit is not None:
         return hit
@@ -923,9 +840,7 @@ class CosetView:
 
 
 def coset_structure(parent: Group, P: Subgroup, K: Subgroup) -> CosetView:
-    cache = getattr(parent, "_coset_cache", None)
-    if cache is None:
-        cache = parent._coset_cache = {}
+    cache = memo.table(parent, "coset_structure")
     key = (P.elems, K.elems)
     hit = cache.get(key)
     if hit is None:

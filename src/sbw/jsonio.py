@@ -34,18 +34,30 @@ _CONSTRUCTORS = {
 }
 
 
+def _int_rows(value, what: str) -> list:
+    if not (isinstance(value, list) and all(
+            isinstance(row, list) and all(type(x) is int for x in row)
+            for row in value)):
+        raise WorkbenchError(f"{what} must be a list of integer lists")
+    return value
+
+
 def group_from_json(data: dict, max_order=None) -> Group:
     """Accepts the table, perm_gens, and construct encodings."""
+    if not isinstance(data, dict):
+        raise WorkbenchError("group JSON must be an object")
     if "table" in data:
-        return Group(data["table"], name=data.get("name"),
-                     max_order=max_order)
+        return Group(_int_rows(data["table"], "group table"),
+                     name=data.get("name"), max_order=max_order)
     if "perm_gens" in data:
-        return group_from_perm_gens(data["perm_gens"],
+        return group_from_perm_gens(_int_rows(data["perm_gens"], "perm_gens"),
                                     name=data.get("name"),
                                     max_order=max_order)
     if "construct" in data:
         kind = data["construct"]
         args = data.get("args", [])
+        if not isinstance(args, list):
+            raise WorkbenchError("construct args must be a list")
         if kind == "product":
             parts = [group_from_json(a, max_order=max_order) for a in args]
             if len(parts) < 2:
@@ -56,8 +68,22 @@ def group_from_json(data: dict, max_order=None) -> Group:
             return out
         if kind not in _CONSTRUCTORS:
             raise WorkbenchError(f"unknown construct {kind!r}")
-        return _CONSTRUCTORS[kind](*args, max_order=max_order)
+        if not all(type(a) is int for a in args):
+            raise WorkbenchError(f"{kind} construct needs integer args")
+        try:
+            return _CONSTRUCTORS[kind](*args, max_order=max_order)
+        except TypeError as exc:  # wrong number of args
+            raise WorkbenchError(f"{kind} construct: {exc}") from None
     raise WorkbenchError("group JSON needs table, perm_gens, or construct")
+
+
+def _order_of(ref, G: Group):
+    """The order a group reference claims; G's own when there is none."""
+    if ref is None:
+        return G.order
+    if not isinstance(ref, dict):
+        raise WorkbenchError("a group reference must be an object")
+    return ref.get("order", G.order)
 
 
 def section_to_json(cls: SectionClass) -> dict:
@@ -75,19 +101,24 @@ def section_to_json(cls: SectionClass) -> dict:
 def section_from_json(data: dict, ambient: Group) -> SectionClass:
     """Rebuild and validate the class of (T, S) inside a known ambient."""
     from .sections import Section
-    ref = data.get("ambient")
-    if ref is not None and ref.get("order", ambient.order) != ambient.order:
+    if not isinstance(data, dict):
+        raise WorkbenchError("section JSON must be an object")
+    if _order_of(data.get("ambient"), ambient) != ambient.order:
         raise WorkbenchError("section ambient order mismatch")
     fac = data.get("factors")
     if fac is not None and ambient.factors is not None:
         want = [g.order for g in ambient.factors]
-        if list(fac) != want:
+        if fac != want:
             raise WorkbenchError(f"section factors {fac} do not match {want}")
     try:
         T = tuple(sorted({int(x) for x in data["T"]}))
         S = tuple(sorted({int(x) for x in data["S"]}))
     except (KeyError, TypeError, ValueError):
         raise WorkbenchError("section JSON needs integer lists T and S")
+    for part in (T, S):
+        if part and not 0 <= part[0] <= part[-1] < ambient.order:
+            raise WorkbenchError(
+                f"section elements must lie in 0..{ambient.order - 1}")
     sec = Section(ambient, ambient.subgroup(T), ambient.subgroup(S))
     return sec.classify()
 
@@ -106,11 +137,15 @@ def element_from_json(data: dict, G: Group, H: Group, ambient=None):
             return gamma.basis_element(G, H, cls)
         raise WorkbenchError("element JSON needs terms or a bare section")
     for side, grp in (("left", G), ("right", H)):
-        ref = data.get(side)
-        if ref is not None and ref.get("order", grp.order) != grp.order:
+        if _order_of(data.get(side), grp) != grp.order:
             raise WorkbenchError(f"element {side} group order mismatch")
     coeffs = {}
-    for term in data["terms"]:
+    terms = data["terms"]
+    if not (isinstance(terms, list) and all(
+            isinstance(t, dict) and isinstance(t.get("class"), dict)
+            for t in terms)):
+        raise WorkbenchError('element terms must be objects with a "class"')
+    for term in terms:
         cls = section_from_json(term["class"], ambient)
         try:
             q = Fraction(int(term.get("num", 1)), int(term.get("den", 1)))
@@ -248,9 +283,18 @@ def catalog_to_json(catalog) -> dict:
 
 def catalog_from_json(data):
     from .catalog import Catalog, CatalogEntry
+    if not (isinstance(data, dict) and isinstance(data.get("groups"), list)
+            and all(isinstance(item, dict) and "id" in item and "group" in item
+                    for item in data["groups"])):
+        raise WorkbenchError(
+            'catalog JSON needs "groups": a list of objects with "id" and '
+            '"group"')
+    orders = data.get("complete_orders")
+    if not (isinstance(orders, list) and all(type(m) is int for m in orders)):
+        raise WorkbenchError('catalog JSON needs "complete_orders": a list '
+                             'of integers')
     entries = tuple(
         CatalogEntry(gid=item["id"], group=group_from_json(item["group"]),
                      description=item.get("description", ""))
         for item in data["groups"])
-    return Catalog(entries=entries,
-                   complete_orders=frozenset(data["complete_orders"]))
+    return Catalog(entries=entries, complete_orders=frozenset(orders))

@@ -15,13 +15,12 @@ from typing import Callable, Optional, Sequence
 from .errors import NotInPoset, PartitionMismatch
 from .groups import (
     Group,
-    Subgroup,
     commute_elementwise,
     intersection,
     normal_subgroups,
     product_set,
 )
-from . import gamma
+from . import gamma, memo
 
 
 class FinitePoset:
@@ -134,11 +133,9 @@ def pair_leq(x: tuple, y: tuple) -> bool:
     return y[0].contains(x[0]) and x[1].contains(y[1])
 
 
+@memo.once
 def build_poset(G: Group) -> FinitePoset:
     """The poset of commuting normal pairs of G; joins are (KL, P n Q)."""
-    cached = getattr(G, "_pair_poset", None)
-    if cached is not None:
-        return cached
     poset = FinitePoset(normal_commuting_pairs(G), pair_leq)
     bottom = (G.trivial_subgroup(), G.full_subgroup())
     top = (G.full_subgroup(), G.trivial_subgroup())
@@ -149,7 +146,6 @@ def build_poset(G: Group) -> FinitePoset:
             expect = (product_set(x[0], y[0]), intersection(x[1], y[1]))
             if poset.join(x, y) != expect:
                 raise NotInPoset("join structure is inconsistent")
-    G._pair_poset = poset
     return poset
 
 
@@ -211,40 +207,3 @@ def class_idempotents(G: Group, partition: Sequence[Sequence[tuple]]) -> dict:
             (e_sum, f_sum)
     return out
 
-
-# -- a tiny vector model for exercising the generic engine ----------------------
-
-class UpsetAlgebra:
-    """Indicator vectors of up-sets under pointwise product.
-
-    On a poset where any two elements either have a join or no common
-    upper bound at all, this family satisfies the product rule required
-    of an idempotent system: e_x e_y = e_{x v y} when the join exists and
-    0 otherwise.  Tests use it to exercise Mobius orthogonality on posets
-    with missing joins (e.g. chains glued at a common minimum), a branch
-    the commuting-pairs poset never reaches.
-    """
-
-    def __init__(self, poset: FinitePoset):
-        self.poset = poset
-
-    def e_vector(self, x) -> tuple:
-        mask = self.poset.up[self.poset.index[x]]
-        n = len(self.poset.elements)
-        return tuple(1 if (mask >> j) & 1 else 0 for j in range(n))
-
-    def f_vector(self, x) -> tuple:
-        mob = self.poset.mobius()
-        i = self.poset.index[x]
-        n = len(self.poset.elements)
-        acc = [0] * n
-        for j in self.poset.upper_set(x):
-            ev = self.e_vector(self.poset.elements[j])
-            m = mob[(i, j)]
-            for t in range(n):
-                acc[t] += m * ev[t]
-        return tuple(acc)
-
-    @staticmethod
-    def product(u: tuple, v: tuple) -> tuple:
-        return tuple(a * b for a, b in zip(u, v))

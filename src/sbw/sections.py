@@ -13,13 +13,11 @@ Subgroups of G x H are stored inside the interned product group from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     ConditionViolated,
     MiddleMismatch,
     NotAProduct,
-    NotIso,
     NotNormal,
     NotSubgroup,
 )
@@ -33,7 +31,7 @@ from .groups import (
     isomorphisms,
     subgroup_lattice,
 )
-from . import crossed
+from . import crossed, memo
 
 
 class SectionClass:
@@ -97,9 +95,7 @@ def canonical_section(ambient: Group, T: tuple, S: tuple) -> SectionClass:
     The canonical representative is the lexicographically least pair in
     the conjugation orbit; the whole orbit is cached at once.
     """
-    cache = getattr(ambient, "_section_canon", None)
-    if cache is None:
-        cache = ambient._section_canon = {}
+    cache = memo.table(ambient, "canonical_section")
     hit = cache.get((T, S))
     if hit is not None:
         return hit
@@ -152,6 +148,7 @@ class Section:
         return f"Section(|T|={self.T.order}, |S|={self.S.order} in {self.ambient.name})"
 
 
+@memo.once
 def enumerate_sections(X: Group) -> tuple:
     """All conjugacy classes of sections of X, sorted canonically.
 
@@ -159,9 +156,6 @@ def enumerate_sections(X: Group) -> tuple:
     canonicalization merges pairs conjugate under the ambient group.
     Exhaustive, so only sensible for moderate subgroup lattices.
     """
-    cached = getattr(X, "_sections_all", None)
-    if cached is not None:
-        return cached
     lattice = subgroup_lattice(X)
     out = set()
     for cls in lattice.classes:
@@ -171,9 +165,7 @@ def enumerate_sections(X: Group) -> tuple:
                 break
             if S.elem_set <= T.elem_set and is_normal_in(S, T):
                 out.add(canonical_section(X, T.elems, S.elems))
-    result = tuple(sorted(out))
-    X._sections_all = result
-    return result
+    return tuple(sorted(out))
 
 
 # -- product decomposition of a subgroup -------------------------------------
@@ -285,21 +277,6 @@ class GoursatQuintuple:
     eta: Hom
     pk: object
     ql: object
-
-
-def goursat_quintuple(G: Group, H: Group, P: Subgroup, K: Subgroup,
-                      eta_images, L: Subgroup, Q: Subgroup) -> GoursatQuintuple:
-    """Build and validate a Goursat quintuple from raw data."""
-    if not is_normal_in(K, P):
-        raise NotNormal("K is not normal in P")
-    if not is_normal_in(L, Q):
-        raise NotNormal("L is not normal in Q")
-    pk = coset_structure(G, P, K)
-    ql = coset_structure(H, Q, L)
-    eta = Hom(ql.group, pk.group, eta_images)
-    if not eta.is_bijective():
-        raise NotIso("eta must be an isomorphism Q/L -> P/K")
-    return GoursatQuintuple(G=G, H=H, P=P, K=K, L=L, Q=Q, eta=eta, pk=pk, ql=ql)
 
 
 def goursat(ambient: Group, U: Subgroup) -> GoursatQuintuple:
@@ -415,16 +392,6 @@ def conj_left(t: int, B: Subgroup) -> Subgroup:
                     check=False)
 
 
-def opposite_subgroup(U: Subgroup) -> Subgroup:
-    """U^op = {(h, g) : (g, h) in U} inside H x G."""
-    G, H = _factors(U.parent)
-    ho, go = H.order, G.order
-    ambient = direct_product(H, G)
-    return Subgroup(ambient,
-                    ((u % ho) * go + u // ho for u in U.elems),
-                    check=False)
-
-
 def opposite_class(cls: SectionClass) -> SectionClass:
     G, H = _factors(cls.ambient)
     ho, go = H.order, G.order
@@ -450,9 +417,7 @@ def constrained_sections(G: Group, H: Group, K: Subgroup, P: Subgroup,
     if G.order // K.order != H.order // L.order or P.order != Q.order:
         return ()
     ambient = direct_product(G, H)
-    cache = getattr(ambient, "_constrained_cache", None)
-    if cache is None:
-        cache = ambient._constrained_cache = {}
+    cache = memo.table(ambient, "constrained_sections")
     key = (K.elems, P.elems, L.elems, Q.elems)
     hit = cache.get(key)
     if hit is not None:

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from . import classify, crossed, gamma, posets, sections
 from .catalog import default_catalog
@@ -333,6 +333,22 @@ def _idempotents_common(out: list, gid: str, G: Group, pairs, poset, es, ecls):
     _run(out, "idempotents", f"{gid} e-join grid", "e-join-grid", grid)
 
 
+def _idempotents_self_opposite(out: list, gid: str, G: Group, basis, ecls):
+    """b o b^op = |G:Q| [e_l0] for each covering class; shared by both modes."""
+    def self_opposite():
+        n = 0
+        for b in basis.classes:
+            r0 = basis.right_middle[b]
+            l0 = basis.left_middle[b]
+            prod = gamma.compose_classes(b, sections.opposite_class(b))
+            scale = Fraction(G.order, r0[1].order)
+            assert prod == {ecls[l0][0]: scale}, b.key
+            n += 1
+        return f"{n} covering classes"
+    _run(out, "idempotents", f"{gid} self-opposite scaling",
+         "covering-self-opposite", self_opposite)
+
+
 def _idempotents_full(out: list, gid: str, G: Group) -> None:
     """Exhaustive calculus: every product against every covering class."""
     pairs, poset, es, ecls = _e_data(G)
@@ -458,19 +474,7 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
         return f"{n} products, {mode}"
     _run(out, "idempotents", f"{gid} covering centrality",
          "covering-centrality", central)
-
-    def self_opposite():
-        n = 0
-        for b in basis.classes:
-            r0 = basis.right_middle[b]
-            l0 = basis.left_middle[b]
-            prod = gamma.compose_classes(b, sections.opposite_class(b))
-            scale = Fraction(G.order, r0[1].order)
-            assert prod == {ecls[l0][0]: scale}, b.key
-            n += 1
-        return f"{n} covering classes"
-    _run(out, "idempotents", f"{gid} self-opposite scaling",
-         "covering-self-opposite", self_opposite)
+    _idempotents_self_opposite(out, gid, G, basis, ecls)
 
 
 def _idempotents_witness(out: list, gid: str, G: Group) -> None:
@@ -597,19 +601,7 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
         return f"{n} composes over {len(by_l0)} witness classes"
     _run(out, "idempotents", f"{gid} covering witness actions",
          "covering-left-action", witness_action)
-
-    def self_opposite():
-        n = 0
-        for b in basis.classes:
-            r0 = basis.right_middle[b]
-            l0 = basis.left_middle[b]
-            prod = gamma.compose_classes(b, sections.opposite_class(b))
-            scale = Fraction(G.order, r0[1].order)
-            assert prod == {ecls[l0][0]: scale}, b.key
-            n += 1
-        return f"{n} covering classes"
-    _run(out, "idempotents", f"{gid} self-opposite scaling",
-         "covering-self-opposite", self_opposite)
+    _idempotents_self_opposite(out, gid, G, basis, ecls)
 
 
 def suite_idempotents(max_order: int = 8, catalog=None) -> list:

@@ -39,6 +39,14 @@ def test_group_info_accepts_inline_json(capsys):
     assert data["abelian"] is True
 
 
+@pytest.mark.parametrize("spec", ['{"construct":"cyclic","args":["a"]}',
+                                  '{"table":"abc"}'])
+def test_group_info_rejects_malformed_group_json(capsys, spec):
+    code, data = run_json(capsys, "group", "info", "--group", spec)
+    assert code == 1
+    assert data["error"]["type"] == "error"
+
+
 def test_group_info_from_file(capsys, tmp_path):
     path = tmp_path / "klein.json"
     path.write_text(json.dumps({"construct": "product",
@@ -86,6 +94,18 @@ def test_compose_rejects_invalid_section(capsys):
                           "--a", '{"T":[0,1,2],"S":[0]}', "--b", IDENT_C2)
     assert code == 1
     assert data["error"]["type"] == "not_subgroup"
+
+
+@pytest.mark.parametrize("a", ['{"T":[0,9],"S":[0]}', '{"terms":[{}]}',
+                               '{"terms":[{"class":5}]}',
+                               '{"T":[0,3],"S":[0,3],"factors":5}',
+                               '{"T":[0,3],"S":[0,3],"ambient":5}',
+                               '{"left":5,"terms":[]}'])
+def test_compose_rejects_malformed_elements(capsys, a):
+    code, data = run_json(capsys, "compose", "--groups", "C2", "C2", "C2",
+                          "--a", a, "--b", IDENT_C2)
+    assert code == 1
+    assert data["error"]["type"] == "error"
 
 
 def test_idempotents(capsys):
@@ -209,6 +229,13 @@ def test_catalog_build_and_load_round_trip(capsys, tmp_path):
     assert code2 == 0
     assert loaded == built
     assert out.read_text() == built
+
+
+def test_catalog_load_rejects_an_entry_without_a_group(capsys):
+    code, data = run_json(capsys, "catalog", "load",
+                          '{"groups":[{"id":"x"}]}')
+    assert code == 1
+    assert data["error"]["type"] == "error"
 
 
 def test_catalog_build_rejects_bad_bounds(capsys):

@@ -118,6 +118,20 @@ def test_unlinked_pairs_give_no_witness():
     assert crossed.linked(C2, one, one, C2, full, full) is None
 
 
+def test_linked_exits_on_an_order_mismatch(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("iso_search ran on mismatched orders")
+    monkeypatch.setattr(crossed, "iso_search", no_search)
+    C2, C4 = cg("C2"), cg("C4")
+    # |G:K| = 2 = |H:L| but |P| = 2 != 4 = |Q|
+    assert crossed.linked(C2, C2.trivial_subgroup(), C2.full_subgroup(),
+                          C4, C4.subgroup((0, 2)), C4.full_subgroup()) is None
+    # |P| = 1 = |Q| but |G:K| = 2 != 4 = |H:L|
+    assert crossed.linked(C2, C2.trivial_subgroup(), C2.trivial_subgroup(),
+                          C4, C4.trivial_subgroup(),
+                          C4.trivial_subgroup()) is None
+
+
 def test_iso_search_prunes_on_fingerprint():
     C2, C3 = cg("C2"), cg("C3")
     cm2 = crossed.from_pair(C2, C2.trivial_subgroup(), C2.full_subgroup())

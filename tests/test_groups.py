@@ -79,6 +79,20 @@ def test_frozen_lattice_and_class_counts(gid):
     assert automorphism_group(G).group.order == aut
 
 
+def test_memo_tables_belong_to_each_group_object():
+    # Equal tables make equal groups, but names (and so derived names)
+    # differ: a memo keyed by the group would hand G2 the results of G1.
+    table = cg("C4").table
+    G1, G2 = Group(table, name="A"), Group(table, name="B")
+    assert G1 == G2
+    assert subgroup_lattice(G1).group is G1
+    assert subgroup_lattice(G2).group is G2
+    Q1, pi1 = quotient(G1, G1.subgroup((0, 2)))
+    Q2, pi2 = quotient(G2, G2.subgroup((0, 2)))
+    assert pi1.source is G1 and pi2.source is G2
+    assert (Q1.name, Q2.name) == ("A/2", "B/2")
+
+
 def test_subgroup_checks_closure():
     G = cg("C4")
     with pytest.raises(NotSubgroup):
