@@ -226,7 +226,7 @@ def gamma_group(G: Group, K: Subgroup, P: Subgroup) -> GammaGroup:
     table = [[0] * n for _ in range(n)]
     for i, a in enumerate(classes):
         for j, b in enumerate(classes):
-            prod = gamma.compose_classes(a, b)
+            prod = gamma.class_product(a, b)
             if len(prod) != 1:
                 raise AxiomFailed("Gamma product is not a single class")
             (c, mult), = prod.items()
@@ -613,7 +613,7 @@ def ideal_span_oracle(G: Group, catalog=None,
         right = sections.enumerate_sections(direct_product(H, G))
         for a in left:
             for b in right:
-                prod = gamma.compose_classes(a, b)
+                prod = gamma.class_product(a, b)
                 if prod:
                     support.update(prod)
                     vectors.append(

@@ -24,6 +24,8 @@ def _load_json(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkbenchError(f"{what} is not valid JSON: {exc}")
+    except RecursionError:
+        raise WorkbenchError(f"{what} JSON is nested too deeply") from None
 
 
 def _read_spec(spec: str, what: str):

@@ -8,8 +8,12 @@ is the bilinear extension of
                     ( T * (t,1)V,  S * (t,1)U )
 
 where * is relational composition and (t,1) twists the left coordinate.
-Class-level products are memoized in process-wide tables (see ``memo``);
-all coefficients are exact fractions.
+``class_product`` computes one class-level product; ``compose_classes``
+memoizes it in a process-wide table (see ``memo``) keyed by the two
+classes' ids, and ``compose`` reads that table directly.  Callers whose
+products never repeat (``classify.gamma_group`` and the span oracle) call
+``class_product`` and keep nothing in the table.  All coefficients are
+exact fractions.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ class GammaElement:
         self.ambient = direct_product(left, right)
         clean = {}
         for cls, c in coeffs.items():
-            c = Fraction(c)
+            if c.__class__ is not Fraction:
+                c = Fraction(c)
             if c:
                 clean[cls] = c
         self.coeffs = clean
@@ -141,7 +146,7 @@ def _row_elems(rows, ko: int) -> tuple:
                   for k in (BYTE_BITS[m] if m < 256 else bit_indices(m))])
 
 
-def compose_classes(a: SectionClass, b: SectionClass) -> dict:
+def class_product(a: SectionClass, b: SectionClass) -> dict:
     """Integer multiplicities of the Mackey product of two basis classes.
 
     Each double coset representative t contributes the class of
@@ -150,13 +155,8 @@ def compose_classes(a: SectionClass, b: SectionClass) -> dict:
     a permutation of Tb's and Sb's rows by conjugation with t, so
     representatives with the same conjugation permutation give the same
     term.  ``sections.star`` and ``sections.conj_left`` are the same
-    operations on ``Subgroup`` objects.  The returned dict is shared by
-    the memo and by equal products; callers must not modify it.
+    operations on ``Subgroup`` objects.  Nothing is memoized.
     """
-    key = (a.key, b.key)
-    hit = _CLASS_COMPOSE.get(key)
-    if hit is not None:
-        return hit
     G, H = a.ambient.factors
     H2, K = b.ambient.factors
     if H.digest != H2.digest:
@@ -180,6 +180,20 @@ def compose_classes(a: SectionClass, b: SectionClass) -> dict:
                 ambient, _row_elems(_star_rows(ta, tw_t), ko),
                 _row_elems(_star_rows(sa, tw_s), ko))
         out[cls] = out.get(cls, 0) + 1
+    return out
+
+
+def compose_classes(a: SectionClass, b: SectionClass) -> dict:
+    """``class_product(a, b)``, memoized by the classes' ids.
+
+    The returned dict is shared by the memo and by equal products;
+    callers must not modify it.
+    """
+    key = (a.uid, b.uid)
+    hit = _CLASS_COMPOSE.get(key)
+    if hit is not None:
+        return hit
+    out = class_product(a, b)
     out = _PRODUCTS.setdefault(tuple(out.items()), out)
     _CLASS_COMPOSE[key] = out
     return out
@@ -189,21 +203,34 @@ def compose(a: GammaElement, b: GammaElement) -> GammaElement:
     """Composition Gamma(G,H) x Gamma(H,K) -> Gamma(G,K)."""
     if a.right.digest != b.left.digest:
         raise MiddleMismatch("composition needs a common middle group")
-    # Accumulate exact integers over the common denominator da * db.
+    # Accumulate exact integers over the common denominator da * db, keyed
+    # by class id; compose_classes runs only on a memo miss.
     da = lcm(*(c.denominator for c in a.coeffs.values()))
     db = lcm(*(c.denominator for c in b.coeffs.values()))
-    right = [(cls_b, cb.numerator * (db // cb.denominator))
+    right = [(cls_b, cls_b.uid, cb.numerator * (db // cb.denominator))
              for cls_b, cb in b.coeffs.items()]
+    memo_get = _CLASS_COMPOSE.get
     acc: dict = {}
+    classes: dict = {}
     for cls_a, ca in a.coeffs.items():
+        ua = cls_a.uid
         na = ca.numerator * (da // ca.denominator)
-        for cls_b, nb in right:
+        for cls_b, ub, nb in right:
+            prod = memo_get((ua, ub))
+            if prod is None:
+                prod = compose_classes(cls_a, cls_b)
             c = na * nb
-            for cls, mult in compose_classes(cls_a, cls_b).items():
-                acc[cls] = acc.get(cls, 0) + c * mult
+            for cls, mult in prod.items():
+                u = cls.uid
+                if u in acc:
+                    acc[u] += c * mult
+                else:
+                    acc[u] = c * mult
+                    classes[u] = cls
     d = da * db
     return GammaElement(a.left, b.right,
-                        {cls: Fraction(n, d) for cls, n in acc.items()})
+                        {classes[u]: Fraction(n, d)
+                         for u, n in acc.items() if n})
 
 
 def opposite_element(a: GammaElement) -> GammaElement:

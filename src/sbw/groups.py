@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -643,9 +644,17 @@ def group_from_perm_gens(perm_gens, name: str = "G",
     return G
 
 
+def _check_order(n: int, max_order: Optional[int]) -> None:
+    """Refuse an order above the cap before any table is built."""
+    cap = order_cap() if max_order is None else max_order
+    if n > cap:
+        raise OrderLimitExceeded(f"order {n} exceeds cap {cap}")
+
+
 def cyclic(n: int, max_order: Optional[int] = None) -> Group:
     if n < 1:
         raise NotClosed("cyclic group needs order >= 1")
+    _check_order(n, max_order)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     G = Group(table, name=f"C{n}", max_order=max_order, spec=("cyclic", n))
     G.gens = (1,) if n > 1 else ()
@@ -659,6 +668,7 @@ def dihedral(order: int, max_order: Optional[int] = None) -> Group:
     """
     if order < 2 or order % 2:
         raise NotClosed("dihedral group needs even order >= 2")
+    _check_order(order, max_order)
     n = order // 2
 
     def mul(e1, e2):
@@ -698,12 +708,12 @@ def symmetric(n: int, max_order: Optional[int] = None) -> Group:
     """Symmetric group on n points; elements sorted lexicographically."""
     if n < 1:
         raise NotClosed("symmetric group needs n >= 1")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
+    size = math.factorial(n)
     cap = order_cap() if max_order is None else max_order
     if size > cap:
         raise OrderLimitExceeded(f"S{n} has order {size} > cap {cap}")
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
     table = [[index[tuple(p[q[x]] for x in range(n))] for q in perms]
              for p in perms]
     G = Group(table, name=f"S{n}", max_order=cap, spec=("symmetric", n))

@@ -66,7 +66,7 @@ def group_from_json(data: dict, max_order=None) -> Group:
             for p in parts[1:]:
                 out = direct_product(out, p, max_order=max_order)
             return out
-        if kind not in _CONSTRUCTORS:
+        if not isinstance(kind, str) or kind not in _CONSTRUCTORS:
             raise WorkbenchError(f"unknown construct {kind!r}")
         if not all(type(a) is int for a in args):
             raise WorkbenchError(f"{kind} construct needs integer args")
@@ -147,10 +147,11 @@ def element_from_json(data: dict, G: Group, H: Group, ambient=None):
         raise WorkbenchError('element terms must be objects with a "class"')
     for term in terms:
         cls = section_from_json(term["class"], ambient)
-        try:
-            q = Fraction(int(term.get("num", 1)), int(term.get("den", 1)))
-        except (TypeError, ValueError, ZeroDivisionError):
+        num, den = term.get("num", 1), term.get("den", 1)
+        # Only JSON integers: a float or a bool would be truncated.
+        if type(num) is not int or type(den) is not int or not den:
             raise WorkbenchError("term coefficient needs integer num, den")
+        q = Fraction(num, den)
         if q:
             coeffs[cls] = coeffs.get(cls, 0) + q
     coeffs = {c: q for c, q in coeffs.items() if q}

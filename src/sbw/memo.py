@@ -8,7 +8,7 @@ Every memo table is a plain dict reached through ``table(owner, name)``.
   digest alone, while groups with equal tables differ in name, generators,
   factors and coset representatives, so no table is keyed by a group.
 - Owner ``None`` selects the process-wide tables, for results that
-  belong to no one object (class products keyed by digests, interned
+  belong to no one object (class products keyed by class ids, interned
   direct products, the default catalog).
 
 Hot paths fetch their table once per call (or once at import, for a

@@ -13,6 +13,7 @@ Subgroups of G x H are stored inside the interned product group from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import (
     ConditionViolated,
@@ -34,21 +35,33 @@ from .groups import (
 from . import crossed, memo
 
 
+_UIDS = count()
+
+
 class SectionClass:
     """A conjugacy class of sections, named by its least (T, S) pair."""
 
-    __slots__ = ("ambient", "T", "S", "orbit_size", "key", "_hash", "_rows")
+    __slots__ = ("ambient", "T", "S", "orbit_size", "uid", "_hash", "_rows")
 
     def __init__(self, ambient: Group, T: tuple, S: tuple, orbit_size: int):
         self.ambient = ambient
         self.T = T
         self.S = S
         self.orbit_size = orbit_size
-        # Products with equal tables share a digest (C1 x C2 vs C2 x C1),
-        # so the key must record the factor split as well.
-        self.key = (ambient.digest, ambient.factor_digests, self.T, self.S)
+        # Classes are interned per ambient and product ambients are
+        # interned by factor digests, so classes of products with equal
+        # keys are one object, and a memo of class products may key on
+        # ``uid``.
+        self.uid = next(_UIDS)
         self._hash = hash(self.key)
         self._rows = None
+
+    @property
+    def key(self) -> tuple:
+        # Products with equal tables share a digest (C1 x C2 vs C2 x C1),
+        # so the key must record the factor split as well.
+        return (self.ambient.digest, self.ambient.factor_digests,
+                self.T, self.S)
 
     def sort_key(self):
         return (len(self.T), self.T, len(self.S), self.S)
@@ -77,7 +90,8 @@ class SectionClass:
         return self._rows
 
     def __eq__(self, other):
-        return isinstance(other, SectionClass) and self.key == other.key
+        return self is other or (isinstance(other, SectionClass)
+                                 and self.key == other.key)
 
     def __hash__(self):
         return self._hash

@@ -1,9 +1,12 @@
 """End-to-end command line behavior, exercised in process."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbw import catalog, cli, gamma, jsonio
 
@@ -40,7 +43,7 @@ def test_group_info_accepts_inline_json(capsys):
 
 
 @pytest.mark.parametrize("spec", ['{"construct":"cyclic","args":["a"]}',
-                                  '{"table":"abc"}'])
+                                  '{"table":"abc"}', '{"construct":[]}'])
 def test_group_info_rejects_malformed_group_json(capsys, spec):
     code, data = run_json(capsys, "group", "info", "--group", spec)
     assert code == 1
@@ -106,6 +109,34 @@ def test_compose_rejects_malformed_elements(capsys, a):
                           "--a", a, "--b", IDENT_C2)
     assert code == 1
     assert data["error"]["type"] == "error"
+
+
+@pytest.mark.parametrize("term", ['"num":1.5', '"num":"7","den":true',
+                                  '"num":2,"den":2.0', '"num":true',
+                                  '"den":0'])
+def test_compose_rejects_non_integer_coefficients(capsys, term):
+    a = '{"terms":[{"class":%s,%s}]}' % (IDENT_C2, term)
+    code, data = run_json(capsys, "compose", "--groups", "C2", "C2", "C2",
+                          "--a", a, "--b", IDENT_C2)
+    assert code == 1
+    assert data["error"]["message"] == \
+        "term coefficient needs integer num, den"
+
+
+def test_compose_keeps_exact_integer_coefficients(capsys):
+    a = '{"terms":[{"class":%s,"num":-3,"den":6}]}' % IDENT_C2
+    code, data = run_json(capsys, "compose", "--groups", "C2", "C2", "C2",
+                          "--a", a, "--b", IDENT_C2)
+    assert code == 0
+    (term,) = data["terms"]
+    assert (term["num"], term["den"]) == (-1, 2)
+
+
+def test_deeply_nested_json_is_reported(capsys):
+    code, data = run_json(capsys, "compose", "--groups", "C2", "C2", "C2",
+                          "--a", "[" * 5000 + "]" * 5000, "--b", IDENT_C2)
+    assert code == 1
+    assert data["error"]["message"] == "element a JSON is nested too deeply"
 
 
 def test_idempotents(capsys):
@@ -301,3 +332,79 @@ def test_unsafe_order_raises_the_cap(capsys):
             os.environ.pop("SBW_MAX_ORDER", None)
         else:
             os.environ["SBW_MAX_ORDER"] = before
+
+
+
+# Fuzzed JSON: values of any shape, and objects shaped like the documents
+# each command reads, so malformed values reach past the first checks.
+_KEYS = ("terms", "class", "num", "den", "T", "S", "left", "right",
+         "ambient", "factors", "order", "construct", "args", "table",
+         "perm_gens", "name", "groups", "id", "group", "complete_orders",
+         "description")
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 40)
+            | st.floats(allow_nan=False, allow_infinity=False, width=16)
+            | st.sampled_from(["", "a", "7", "cyclic", "dihedral",
+                               "symmetric", "quaternion", "product", "C2"]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_KEYS), inner,
+                                     max_size=4)),
+    max_leaves=12)
+_INTS = st.lists(st.integers(-1, 5), max_size=4)
+_GROUP = st.recursive(
+    st.fixed_dictionaries({"construct": st.sampled_from(
+        ["cyclic", "dihedral", "symmetric", "quaternion", "x"]) | _JSON},
+        optional={"args": _INTS | _JSON, "name": _SCALARS})
+    | st.fixed_dictionaries({"table": st.lists(_INTS, max_size=4) | _JSON})
+    | st.fixed_dictionaries({"perm_gens": st.lists(_INTS, max_size=3)
+                             | _JSON}),
+    lambda inner: st.fixed_dictionaries({
+        "construct": st.just("product"),
+        "args": st.lists(inner | _JSON, max_size=3)}),
+    max_leaves=3)
+_SECTION = st.fixed_dictionaries(
+    {"T": _INTS | _JSON, "S": _INTS | _JSON},
+    optional={"ambient": _JSON, "factors": _INTS | _JSON})
+_ELEMENT = _SECTION | st.fixed_dictionaries(
+    {"terms": st.lists(st.fixed_dictionaries(
+        {"class": _SECTION | _JSON},
+        optional={"num": _SCALARS, "den": _SCALARS}), max_size=3) | _JSON},
+    optional={"left": _JSON, "right": _JSON})
+_CATALOG = st.fixed_dictionaries(
+    {"groups": st.lists(st.fixed_dictionaries(
+        {"id": _SCALARS, "group": _GROUP | _JSON},
+        optional={"description": _SCALARS}), max_size=2) | _JSON},
+    optional={"complete_orders": _INTS | _JSON})
+
+
+def _text(shaped):
+    doc = _JSON | shaped
+    return doc.map(json.dumps) | doc.map(lambda v: json.dumps(v)[:-1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.one_of(
+    _text(_ELEMENT).map(lambda t: ["compose", "--groups", "C2", "C2", "C2",
+                                   "--a", t, "--b", IDENT_C2]),
+    _text(_ELEMENT).map(lambda t: ["compose", "--groups", "C2", "C2", "C2",
+                                   "--a", IDENT_C2, "--b", t]),
+    _text(_GROUP).map(lambda t: ["group", "info", "--group", t]),
+    _text(_CATALOG).map(lambda t: ["catalog", "load", t])))
+def test_malformed_json_never_escapes_as_a_traceback(case):
+    out, err = io.StringIO(), io.StringIO()
+    before = os.environ.get("SBW_MAX_ORDER")
+    # A low cap keeps fuzzed groups small enough to analyse quickly.
+    os.environ["SBW_MAX_ORDER"] = "12"
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(case)
+    finally:
+        if before is None:
+            del os.environ["SBW_MAX_ORDER"]
+        else:
+            os.environ["SBW_MAX_ORDER"] = before
+    assert code in (0, 1, 2)
+    if code != 2:
+        json.loads(out.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -268,3 +268,66 @@ def test_compose_multiplicities_are_nonnegative_integers(data):
     assert out
     for mult in out.values():
         assert isinstance(mult, int) and mult > 0
+
+
+def naive_compose(a, b):
+    """compose(a, b) as the bilinear sum of class products, term by term."""
+    acc = {}
+    for ca, x in a.coeffs.items():
+        for cb, y in b.coeffs.items():
+            for cls, mult in gamma.compose_classes(ca, cb).items():
+                acc[cls] = acc.get(cls, 0) + x * y * mult
+    return {cls: q for cls, q in acc.items() if q}
+
+
+def colliding_triples(left, right):
+    """(a, b1, b2) with b1 != b2 and equal class products a.b1 == a.b2."""
+    out = []
+    for a in left:
+        seen = {}
+        for b in right:
+            prod = frozenset(gamma.compose_classes(a, b).items())
+            if prod in seen:
+                out.append((a, seen[prod], b))
+            else:
+                seen[prod] = b
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_compose_matches_the_naive_bilinear_sum(data):
+    G, H, K = cg("S3"), cg("C2"), cg("C2")
+    left, right = gamma_basis(G, H), gamma_basis(H, K)
+    coeff = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                      st.integers(1, 6))
+    a = gamma.GammaElement(G, H, data.draw(st.dictionaries(
+        st.sampled_from(left), coeff, min_size=1, max_size=4)))
+    b = gamma.GammaElement(H, K, data.draw(st.dictionaries(
+        st.sampled_from(right), coeff, min_size=1, max_size=4)))
+    # a.b1 - a.b2 cancels to zero inside compose's accumulation.
+    cls_a, b1, b2 = data.draw(st.sampled_from(colliding_triples(left, right)))
+    q = data.draw(coeff)
+    cancel = (gamma.basis_element(H, K, b1, q)
+              - gamma.basis_element(H, K, b2, q))
+    assert not cancel.is_zero()
+    assert gamma.compose(gamma.basis_element(G, H, cls_a, q),
+                         cancel).is_zero()
+    for right_elt in (b, b + cancel):
+        out = gamma.compose(a, right_elt)
+        assert out.coeffs == naive_compose(a, right_elt)
+        assert all(type(c) is Fraction and c for c in out.coeffs.values())
+    assert gamma.compose(a, b - b).is_zero()
+
+
+def test_class_product_matches_the_memoized_product_on_a_gamma_set():
+    G = cg("D8")
+    K = G.subgroup(groups.center(G).elems)
+    P = G.subgroup((0,))
+    found = sections.constrained_sections(G, G, K, P, K, P)
+    assert len(found) == 6
+    for a in found:
+        for b in found:
+            fresh = gamma.class_product(a, b)
+            assert list(fresh.items()) == \
+                list(gamma.compose_classes(a, b).items())

@@ -1,6 +1,7 @@
 """Group core: tables, subgroups, quotients, cosets, automorphisms."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +69,21 @@ def test_order_cap_blocks_large_tables(monkeypatch):
         cyclic(5)
     assert cyclic(4).order == 4
     assert cyclic(600, max_order=600).order == 600
+
+
+@pytest.mark.parametrize("build, arg", [(cyclic, 1500), (dihedral, 1500),
+                                        (symmetric, 9)])
+def test_constructors_refuse_an_order_over_the_cap_before_building(build,
+                                                                    arg):
+    # Without the early check these build a table of millions of entries.
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderLimitExceeded):
+            build(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("gid", ALL_IDS)

@@ -63,7 +63,14 @@ def test_class_keys_separate_equal_tables_with_different_splits():
     a = sections.enumerate_sections(direct_product(C1, C2))[0]
     b = sections.enumerate_sections(direct_product(C2, C1))[0]
     assert a.ambient.digest == b.ambient.digest
+    assert (a.T, a.S) == (b.T, b.S)
     assert a.key != b.key
+    assert a.uid != b.uid and a != b
+    # The key is still the 4-tuple it was before classes carried ids.
+    for cls in (a, b):
+        amb = cls.ambient
+        assert cls.key == (amb.digest, amb.factor_digests, cls.T, cls.S)
+        assert hash(cls) == hash(cls.key)
 
 
 def test_goursat_round_trip_on_every_subgroup():
