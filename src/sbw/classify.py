@@ -225,8 +225,7 @@ def gamma_group(G: Group, K: Subgroup, P: Subgroup) -> GammaGroup:
     n = len(classes)
     table = [[0] * n for _ in range(n)]
     for i, a in enumerate(classes):
-        for j, b in enumerate(classes):
-            prod = gamma.class_product(a, b)
+        for j, prod in enumerate(gamma.class_products(a, classes)):
             if len(prod) != 1:
                 raise AxiomFailed("Gamma product is not a single class")
             (c, mult), = prod.items()
@@ -604,7 +603,8 @@ def ideal_span_oracle(G: Group, catalog=None,
     cindex = {c: i for i, c in enumerate(all_classes)}
     report_src = essential_report(G, catalog)
     predicted = set(_predicted_from_report(report_src))
-    vectors = []
+    # Most products repeat, so only distinct vectors reach the rank.
+    vectors = set()
     support = set()
     for gid, H in _catalog_groups(catalog):
         if H.order >= G.order:
@@ -612,13 +612,12 @@ def ideal_span_oracle(G: Group, catalog=None,
         left = sections.enumerate_sections(direct_product(G, H))
         right = sections.enumerate_sections(direct_product(H, G))
         for a in left:
-            for b in right:
-                prod = gamma.class_product(a, b)
+            for prod in gamma.class_products(a, right):
                 if prod:
                     support.update(prod)
-                    vectors.append(
-                        {cindex[c]: m for c, m in prod.items()})
-    rank = rational_rank(vectors)
+                    vectors.add(frozenset(
+                        [(cindex[c], m) for c, m in prod.items()]))
+    rank = rational_rank([dict(v) for v in vectors])
     report = IdealOracleReport(
         group=G,
         full_dim=len(all_classes),

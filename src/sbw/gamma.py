@@ -8,11 +8,15 @@ is the bilinear extension of
                     ( T * (t,1)V,  S * (t,1)U )
 
 where * is relational composition and (t,1) twists the left coordinate.
-``class_product`` computes one class-level product; ``compose_classes``
-memoizes it in a process-wide table (see ``memo``) keyed by the two
+``class_products`` is the class-level kernel: one left class against a
+sequence of right classes.  It keeps two memos (see ``memo``): the double
+cosets of each middle group as (conjugation perm, count) pairs, keyed by
+the two subgroups, and the product class of each ambient, keyed by its
+(T rows, S rows).  ``class_product`` is the kernel on one pair;
+``compose_classes`` memoizes it in a process-wide table keyed by the two
 classes' ids, and ``compose`` reads that table directly.  Callers whose
 products never repeat (``classify.gamma_group`` and the span oracle) call
-``class_product`` and keep nothing in the table.  All coefficients are
+``class_products`` and keep no pair in that table.  All coefficients are
 exact fractions.
 """
 
@@ -125,62 +129,107 @@ def identity_element(G: Group) -> GammaElement:
 _CLASS_COMPOSE = memo.table(None, "compose_classes")
 # Few distinct products recur across many class pairs, so equal results
 # share one dict: product items -> that dict.
-_PRODUCTS = memo.table(None, "class_products")
+_PRODUCTS = memo.table(None, "shared_products")
 
 
-def _star_rows(a_rows: tuple, b_rows) -> list:
-    """Rows of A * B: row g is the OR of B's rows over the bits of A's row g."""
+def _twists(H: Group, A: Subgroup, B: Subgroup) -> tuple:
+    """The double cosets A\\H/B as (perm, count) pairs, memoized in H.
+
+    For a representative t, perm is conjugation by t^-1, so row x of the
+    twist (t,1)U of U <= H x K is row perm[x] of U.  Representatives with
+    equal perms twist alike, so each perm appears once, with the number
+    of its representatives, in order of first appearance.
+    """
+    cache = memo.table(H, "twists")
+    key = (A.elems, B.elems)
+    hit = cache.get(key)
+    if hit is None:
+        counts: dict = {}
+        for t in double_cosets(A, H, B):
+            perm = H.conj_perm(H.inv(t))
+            counts[perm] = counts.get(perm, 0) + 1
+        hit = cache[key] = tuple(counts.items())
+    return hit
+
+
+def _star(index_lists, rows) -> tuple:
+    """Rows of A * B: row g ORs B's rows over A's row g, given as indices."""
     out = []
-    for m in a_rows:
+    for idx in index_lists:
         r = 0
-        for h in (BYTE_BITS[m] if m < 256 else bit_indices(m)):
-            r |= b_rows[h]
+        for h in idx:
+            r |= rows[h]
         out.append(r)
-    return out
+    return tuple(out)
 
 
 def _row_elems(rows, ko: int) -> tuple:
     """The sorted elements g*|K| + k of a subgroup of G x K given by rows."""
     return tuple([base + k
                   for base, m in zip(range(0, len(rows) * ko, ko), rows)
-                  for k in (BYTE_BITS[m] if m < 256 else bit_indices(m))])
+                  for k in bit_indices(m)])
 
 
-def class_product(a: SectionClass, b: SectionClass) -> dict:
-    """Integer multiplicities of the Mackey product of two basis classes.
+def class_products(a: SectionClass, bs) -> list:
+    """Integer multiplicities of the Mackey products a o b, for b in bs.
 
     Each double coset representative t contributes the class of
     (Ta * (t,1)Tb, Sa * (t,1)Sb).  The relational products run on the
-    classes' bit rows (``SectionClass.rows``), and the twist by (t,1) is
-    a permutation of Tb's and Sb's rows by conjugation with t, so
-    representatives with the same conjugation permutation give the same
-    term.  ``sections.star`` and ``sections.conj_left`` are the same
-    operations on ``Subgroup`` objects.  Nothing is memoized.
+    classes' bit rows (``SectionClass.rows``), and the twist by (t,1)
+    permutes Tb's and Sb's rows by conjugation with t, so representatives
+    with the same conjugation permutation give the same term.
+    ``sections.star`` and ``sections.conj_left`` are the same operations
+    on ``Subgroup`` objects.
+
+    a's rows are expanded to bit indices once for the whole batch.  Two
+    memos serve it: the double cosets as (perm, count) pairs per middle
+    group and pair of subgroups (``_twists``), and the product class per
+    ambient and pair of row tuples, so that a repeated product skips
+    ``canonical_section``.  Returns one dict per b, in order; equal to
+    ``[class_product(a, b) for b in bs]``.
     """
     G, H = a.ambient.factors
-    H2, K = b.ambient.factors
-    if H.digest != H2.digest:
-        raise MiddleMismatch("composition needs a common middle group")
     ta, sa, _, p2sa = a.rows()
-    tb, sb, p1sb, _ = b.rows()
-    ambient = direct_product(G, K)
-    ko = K.order
-    by_perm: dict = {}
-    out: dict = {}
-    for t in double_cosets(p2sa, H, p1sb):
-        perm = H.conj_perm(t)
-        cls = by_perm.get(perm)
-        if cls is None:
-            tw_t = [0] * H.order
-            tw_s = [0] * H.order
-            for h, x in enumerate(perm):
-                tw_t[x] = tb[h]
-                tw_s[x] = sb[h]
-            cls = by_perm[perm] = canonical_section(
-                ambient, _row_elems(_star_rows(ta, tw_t), ko),
-                _row_elems(_star_rows(sa, tw_s), ko))
-        out[cls] = out.get(cls, 0) + 1
+    ta_bits = [BYTE_BITS[m] if m < 256 else bit_indices(m) for m in ta]
+    sa_bits = [BYTE_BITS[m] if m < 256 else bit_indices(m) for m in sa]
+    # p1(Sb) -> [(Ta's bits read through perm, Sa's likewise, count)], so
+    # that _star on b's own rows gives the products with the twisted rows.
+    plans: dict = {}
+    identity = tuple(range(H.order))
+    ambient = by_rows = None
+    out = []
+    for b in bs:
+        if b.ambient is not ambient:
+            H2, K = b.ambient.factors
+            if H2.digest != H.digest:
+                raise MiddleMismatch("composition needs a common middle group")
+            ambient = b.ambient
+            target = direct_product(G, K)
+            ko = K.order
+            by_rows = memo.table(target, "class_of_rows")
+        tb, sb, p1sb, _ = b.rows()
+        plan = plans.get(p1sb.elems)
+        if plan is None:
+            plan = plans[p1sb.elems] = [
+                (ta_bits, sa_bits, count) if perm == identity else
+                ([[perm[x] for x in bits] for bits in ta_bits],
+                 [[perm[x] for x in bits] for bits in sa_bits], count)
+                for perm, count in _twists(H, p2sa, p1sb)]
+        prod: dict = {}
+        for t_idx, s_idx, count in plan:
+            key = (_star(t_idx, tb), _star(s_idx, sb))
+            cls = by_rows.get(key)
+            if cls is None:
+                cls = by_rows[key] = canonical_section(
+                    target, _row_elems(key[0], ko), _row_elems(key[1], ko))
+            prod[cls] = prod.get(cls, 0) + count
+        out.append(prod)
     return out
+
+
+def class_product(a: SectionClass, b: SectionClass) -> dict:
+    """``class_products(a, (b,))[0]``; nothing is memoized per pair."""
+    return class_products(a, (b,))[0]
 
 
 def compose_classes(a: SectionClass, b: SectionClass) -> dict:

@@ -34,11 +34,23 @@ _CONSTRUCTORS = {
 }
 
 
+def _ints(value, error: str) -> list:
+    """``value`` if it is a list of JSON integers, else WorkbenchError(error).
+
+    Only ``type(x) is int`` passes: a bool is an int to Python, a float
+    would be truncated and a string parsed.
+    """
+    if isinstance(value, list) and all(type(x) is int for x in value):
+        return value
+    raise WorkbenchError(error)
+
+
 def _int_rows(value, what: str) -> list:
-    if not (isinstance(value, list) and all(
-            isinstance(row, list) and all(type(x) is int for x in row)
-            for row in value)):
-        raise WorkbenchError(f"{what} must be a list of integer lists")
+    error = f"{what} must be a list of integer lists"
+    if not isinstance(value, list):
+        raise WorkbenchError(error)
+    for row in value:
+        _ints(row, error)
     return value
 
 
@@ -68,8 +80,7 @@ def group_from_json(data: dict, max_order=None) -> Group:
             return out
         if not isinstance(kind, str) or kind not in _CONSTRUCTORS:
             raise WorkbenchError(f"unknown construct {kind!r}")
-        if not all(type(a) is int for a in args):
-            raise WorkbenchError(f"{kind} construct needs integer args")
+        _ints(args, f"{kind} construct needs integer args")
         try:
             return _CONSTRUCTORS[kind](*args, max_order=max_order)
         except TypeError as exc:  # wrong number of args
@@ -110,11 +121,9 @@ def section_from_json(data: dict, ambient: Group) -> SectionClass:
         want = [g.order for g in ambient.factors]
         if fac != want:
             raise WorkbenchError(f"section factors {fac} do not match {want}")
-    try:
-        T = tuple(sorted({int(x) for x in data["T"]}))
-        S = tuple(sorted({int(x) for x in data["S"]}))
-    except (KeyError, TypeError, ValueError):
-        raise WorkbenchError("section JSON needs integer lists T and S")
+    error = "section JSON needs integer lists T and S"
+    T = tuple(sorted(set(_ints(data.get("T"), error))))
+    S = tuple(sorted(set(_ints(data.get("S"), error))))
     for part in (T, S):
         if part and not 0 <= part[0] <= part[-1] < ambient.order:
             raise WorkbenchError(
@@ -147,10 +156,10 @@ def element_from_json(data: dict, G: Group, H: Group, ambient=None):
         raise WorkbenchError('element terms must be objects with a "class"')
     for term in terms:
         cls = section_from_json(term["class"], ambient)
-        num, den = term.get("num", 1), term.get("den", 1)
-        # Only JSON integers: a float or a bool would be truncated.
-        if type(num) is not int or type(den) is not int or not den:
-            raise WorkbenchError("term coefficient needs integer num, den")
+        error = "term coefficient needs integer num, den"
+        num, den = _ints([term.get("num", 1), term.get("den", 1)], error)
+        if not den:
+            raise WorkbenchError(error)
         q = Fraction(num, den)
         if q:
             coeffs[cls] = coeffs.get(cls, 0) + q
@@ -290,10 +299,8 @@ def catalog_from_json(data):
         raise WorkbenchError(
             'catalog JSON needs "groups": a list of objects with "id" and '
             '"group"')
-    orders = data.get("complete_orders")
-    if not (isinstance(orders, list) and all(type(m) is int for m in orders)):
-        raise WorkbenchError('catalog JSON needs "complete_orders": a list '
-                             'of integers')
+    orders = _ints(data.get("complete_orders"),
+                   'catalog JSON needs "complete_orders": a list of integers')
     entries = tuple(
         CatalogEntry(gid=item["id"], group=group_from_json(item["group"]),
                      description=item.get("description", ""))

@@ -41,7 +41,8 @@ _UIDS = count()
 class SectionClass:
     """A conjugacy class of sections, named by its least (T, S) pair."""
 
-    __slots__ = ("ambient", "T", "S", "orbit_size", "uid", "_hash", "_rows")
+    __slots__ = ("ambient", "T", "S", "orbit_size", "uid", "_hash", "_rows",
+                 "_middles")
 
     def __init__(self, ambient: Group, T: tuple, S: tuple, orbit_size: int):
         self.ambient = ambient
@@ -55,6 +56,7 @@ class SectionClass:
         self.uid = next(_UIDS)
         self._hash = hash(self.key)
         self._rows = None
+        self._middles = None
 
     @property
     def key(self) -> tuple:
@@ -88,6 +90,17 @@ class SectionClass:
                                    check=False),
                           Subgroup(H, bit_indices(q), check=False))
         return self._rows
+
+    def middles(self) -> tuple:
+        """(l0, r0) = ((k1(T), p1(S)), (k2(T), p2(S))), built once."""
+        if self._middles is None:
+            t_rows, _, p1s, p2s = self.rows()
+            k1t = Subgroup(p1s.parent,
+                           (g for g, m in enumerate(t_rows) if m & 1),
+                           check=False)
+            k2t = Subgroup(p2s.parent, bit_indices(t_rows[0]), check=False)
+            self._middles = ((k1t, p1s), (k2t, p2s))
+        return self._middles
 
     def __eq__(self, other):
         return self is other or (isinstance(other, SectionClass)
@@ -252,15 +265,12 @@ def right_invariant(cls: SectionClass) -> tuple:
 
 def middle_left(cls: SectionClass) -> tuple:
     """l0 = (k1(T), p1(S))."""
-    t_rows, _, p1s, _ = cls.rows()
-    k1t = (g for g, m in enumerate(t_rows) if m & 1)
-    return (Subgroup(p1s.parent, k1t, check=False), p1s)
+    return cls.middles()[0]
 
 
 def middle_right(cls: SectionClass) -> tuple:
     """r0 = (k2(T), p2(S))."""
-    t_rows, _, _, p2s = cls.rows()
-    return (Subgroup(p2s.parent, bit_indices(t_rows[0]), check=False), p2s)
+    return cls.middles()[1]
 
 
 def is_covering(cls: SectionClass) -> bool:

@@ -517,9 +517,12 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
                 mz = mob.get((x, z), 0)
                 if not mz:
                     continue
-                for w_i, w in enumerate(pairs):
-                    if poset.leq(z, w):
-                        row[w_i] += mz
+                # poset.elements are the pairs in this order.
+                up = poset.up[index[z]]
+                while up:
+                    w_i = (up & -up).bit_length() - 1
+                    up &= up - 1
+                    row[w_i] += mz
             want = [0] * n
             want[index[x]] = 1
             assert row == want, x

@@ -122,6 +122,21 @@ def test_compose_rejects_non_integer_coefficients(capsys, term):
         "term coefficient needs integer num, den"
 
 
+@pytest.mark.parametrize("a", ['{"T":[0,3.9],"S":[false,"3"]}',
+                               '{"T":[0,3.0],"S":[0,3]}',
+                               '{"T":[0,3],"S":[true,3]}',
+                               '{"T":[0,"3"],"S":[0,3]}',
+                               '{"T":"03","S":[0,3]}',
+                               '{"T":{"0":0,"3":3},"S":[0,3]}'])
+def test_compose_rejects_non_integer_section_elements(capsys, a):
+    code, data = run_json(capsys, "compose", "--groups", "C2", "C2", "C2",
+                          "--a", a, "--b", IDENT_C2)
+    assert code == 1
+    assert data == {"error": {
+        "message": "section JSON needs integer lists T and S",
+        "type": "error"}}
+
+
 def test_deeply_nested_json_is_reported(capsys):
     code, data = run_json(capsys, "compose", "--groups", "C2", "C2", "C2",
                           "--a", "[" * 5000 + "]" * 5000, "--b", IDENT_C2)
@@ -342,6 +357,8 @@ _JSON = st.recursive(
                                      max_size=4)),
     max_leaves=12)
 _INTS = st.lists(st.integers(-1, 5), max_size=4)
+# Section bodies: integer lists with the odd bool, float or string in them.
+_BODY = st.lists(st.integers(0, 3) | _SCALARS, max_size=4)
 _GROUP = st.recursive(
     st.fixed_dictionaries({"construct": st.sampled_from(
         ["cyclic", "dihedral", "symmetric", "quaternion", "x"]) | _JSON},
@@ -354,7 +371,7 @@ _GROUP = st.recursive(
         "args": st.lists(inner | _JSON, max_size=3)}),
     max_leaves=3)
 _SECTION = st.fixed_dictionaries(
-    {"T": _INTS | _JSON, "S": _INTS | _JSON},
+    {"T": _INTS | _BODY | _JSON, "S": _INTS | _BODY | _JSON},
     optional={"ambient": _JSON, "factors": _INTS | _JSON})
 _ELEMENT = _SECTION | st.fixed_dictionaries(
     {"terms": st.lists(st.fixed_dictionaries(
@@ -371,6 +388,18 @@ _CATALOG = st.fixed_dictionaries(
 def _text(shaped):
     doc = _JSON | shaped
     return doc.map(json.dumps) | doc.map(lambda v: json.dumps(v)[:-1])
+
+
+def _non_integer_body(text):
+    """Whether text is a bare section whose T or S holds a non-integer."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return False
+    return isinstance(doc, dict) and "terms" not in doc and any(
+        isinstance(doc.get(part), list)
+        and any(type(x) is not int for x in doc[part])
+        for part in ("T", "S"))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -398,3 +427,5 @@ def test_malformed_json_never_escapes_as_a_traceback(case):
     if code != 2:
         json.loads(out.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    if case[0] == "compose" and any(map(_non_integer_body, case[-3::2])):
+        assert code == 1

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbw import catalog, gamma, groups, posets, sections
+from sbw import catalog, gamma, groups, memo, posets, sections
 from sbw.errors import MiddleMismatch, SpaceMismatch
 
 CAT = catalog.default_catalog()
@@ -331,3 +331,47 @@ def test_class_product_matches_the_memoized_product_on_a_gamma_set():
             fresh = gamma.class_product(a, b)
             assert list(fresh.items()) == \
                 list(gamma.compose_classes(a, b).items())
+
+
+def assert_batch_matches_the_definition(left, right):
+    for a in left:
+        batch = gamma.class_products(a, right)
+        assert len(batch) == len(right)
+        for b, prod in zip(right, batch):
+            assert list(prod.items()) == reference_product(a, b)
+
+
+def test_batched_kernel_matches_the_definition_on_every_pair():
+    C2xS3 = gamma_basis(cg("C2"), cg("S3"))
+    S3xC2 = gamma_basis(cg("S3"), cg("C2"))
+    assert_batch_matches_the_definition(C2xS3, S3xC2)
+    assert_batch_matches_the_definition(S3xC2, C2xS3)
+
+
+def test_batched_kernel_matches_the_definition_with_rows_wider_than_a_byte():
+    G, H = cg("C2"), groups.dihedral(12)
+    assert_batch_matches_the_definition(gamma_basis(G, H)[::5],
+                                        gamma_basis(H, G))
+
+
+def test_batched_kernel_rejects_another_middle_inside_a_batch():
+    a = gamma_basis(cg("C2"), cg("S3"))[-1]
+    right = (gamma_basis(cg("S3"), cg("C2"))[:3]
+             + gamma_basis(cg("C3"), cg("C2"))[:1])
+    with pytest.raises(MiddleMismatch):
+        gamma.class_products(a, right)
+
+
+def test_twist_memo_belongs_to_each_middle_group():
+    # Equal tables make equal groups; each keeps its own double cosets.
+    table = cg("S3").table
+    H1, H2 = groups.Group(table, name="A"), groups.Group(table, name="B")
+    twists = []
+    for H in (H1, H2):
+        A, B = H.subgroup((0, 1)), H.subgroup((0, 2))
+        twists.append(gamma._twists(H, A, B))
+        assert sum(c for _, c in twists[-1]) == \
+            len(groups.double_cosets(A, H, B))
+        assert list(memo.table(H, "twists")) == [(A.elems, B.elems)]
+    assert twists[0] == twists[1]
+    assert memo.table(H1, "twists") is not memo.table(H2, "twists")
