@@ -357,8 +357,12 @@ _JSON = st.recursive(
                                      max_size=4)),
     max_leaves=12)
 _INTS = st.lists(st.integers(-1, 5), max_size=4)
-# Section bodies: integer lists with the odd bool, float or string in them.
-_BODY = st.lists(st.integers(0, 3) | _SCALARS, max_size=4)
+# Section bodies: subgroups of C2 x C2 whose elements may come as a bool,
+# float or string that a lenient reader would take for the integer.
+_BODY = st.sampled_from([[0], [0, 1], [0, 2], [0, 3], [0, 1, 2, 3]]).flatmap(
+    lambda xs: st.tuples(*(st.sampled_from(
+        [x, float(x), x + 0.9, str(x)] + ([bool(x)] if x < 2 else []))
+        for x in xs)).map(list))
 _GROUP = st.recursive(
     st.fixed_dictionaries({"construct": st.sampled_from(
         ["cyclic", "dihedral", "symmetric", "quaternion", "x"]) | _JSON},
