@@ -15,7 +15,7 @@ import os
 from . import catalog as catalogs
 from . import classify, gamma, jsonio, posets, sections, verify
 from .errors import WorkbenchError
-from .groups import (automorphism_group, center, conjugacy_classes,
+from .groups import (automorphism_count, center, conjugacy_classes,
                      direct_product, normal_subgroups, subgroup_lattice)
 
 
@@ -84,7 +84,7 @@ def cmd_group_info(args):
         "subgroups": len(lat.all),
         "subgroup_classes": len(lat.classes),
         "normal_subgroups": len(normal_subgroups(G)),
-        "automorphism_order": automorphism_group(G).group.order,
+        "automorphism_order": automorphism_count(G),
     }
     return 0, payload
 

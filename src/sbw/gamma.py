@@ -12,12 +12,14 @@ where * is relational composition and (t,1) twists the left coordinate.
 sequence of right classes.  It keeps two memos (see ``memo``): the double
 cosets of each middle group as (conjugation perm, count) pairs, keyed by
 the two subgroups, and the product class of each ambient, keyed by its
-(T rows, S rows).  ``class_product`` is the kernel on one pair;
-``compose_classes`` memoizes it in a process-wide table keyed by the two
-classes' ids, and ``compose`` reads that table directly.  Callers whose
-products never repeat (``classify.gamma_group`` and the span oracle) call
-``class_products`` and keep no pair in that table.  All coefficients are
-exact fractions.
+(T rows, S rows).  ``class_product`` is the kernel on one pair.
+``compose_row(a, bs)`` is the memoized batched entry point: it keeps
+each product in a process-wide table keyed by the two classes' ids and
+hands a row's misses to ``class_products`` in one call.
+``compose_classes`` is its one-pair case, and ``compose`` fetches one row
+per class of its left operand.  Callers whose products never repeat
+(``classify.gamma_group`` and the span oracle) call ``class_products`` and
+keep no pair in that table.  All coefficients are exact fractions.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .sections import (
 class GammaElement:
     """An element of Gamma(G, H): a zero-free map from classes to fractions."""
 
-    __slots__ = ("left", "right", "ambient", "coeffs")
+    __slots__ = ("left", "right", "ambient", "coeffs", "_scaled")
 
     def __init__(self, left: Group, right: Group, coeffs: dict):
         self.left = left
@@ -62,6 +64,17 @@ class GammaElement:
             if c:
                 clean[cls] = c
         self.coeffs = clean
+        self._scaled = None
+
+    def scaled(self) -> tuple:
+        """(d, classes, numerators): the coefficients as n / d over their
+        lcm d, built once; ``coeffs`` is never modified after __init__."""
+        if self._scaled is None:
+            d = lcm(*(c.denominator for c in self.coeffs.values()))
+            self._scaled = (d, tuple(self.coeffs),
+                            tuple([c.numerator * (d // c.denominator)
+                                   for c in self.coeffs.values()]))
+        return self._scaled
 
     def space(self) -> tuple:
         return (self.left.digest, self.right.digest)
@@ -232,20 +245,34 @@ def class_product(a: SectionClass, b: SectionClass) -> dict:
     return class_products(a, (b,))[0]
 
 
-def compose_classes(a: SectionClass, b: SectionClass) -> dict:
-    """``class_product(a, b)``, memoized by the classes' ids.
+def compose_row(a: SectionClass, bs) -> list:
+    """``[class_product(a, b) for b in bs]``, memoized by the classes' ids.
 
-    The returned dict is shared by the memo and by equal products;
-    callers must not modify it.
+    The pairs missing from the memo go to ``class_products`` in one batch,
+    and are stored only once the whole batch has succeeded.  The returned
+    dicts are shared by the memo and by equal products; callers must not
+    modify them.
     """
-    key = (a.uid, b.uid)
-    hit = _CLASS_COMPOSE.get(key)
+    ua = a.uid
+    memo_get = _CLASS_COMPOSE.get
+    row = [memo_get((ua, b.uid)) for b in bs]
+    if None not in row:
+        return row
+    misses = {b.uid: b for b, prod in zip(bs, row) if prod is None}
+    found = {}
+    for ub, prod in zip(misses, class_products(a, misses.values())):
+        found[ua, ub] = _PRODUCTS.setdefault(tuple(prod.items()), prod)
+    _CLASS_COMPOSE.update(found)
+    return [found[ua, b.uid] if prod is None else prod
+            for b, prod in zip(bs, row)]
+
+
+def compose_classes(a: SectionClass, b: SectionClass) -> dict:
+    """``compose_row(a, (b,))[0]``; a memo hit is one ``dict.get``."""
+    hit = _CLASS_COMPOSE.get((a.uid, b.uid))
     if hit is not None:
         return hit
-    out = class_product(a, b)
-    out = _PRODUCTS.setdefault(tuple(out.items()), out)
-    _CLASS_COMPOSE[key] = out
-    return out
+    return compose_row(a, (b,))[0]
 
 
 def compose(a: GammaElement, b: GammaElement) -> GammaElement:
@@ -253,21 +280,13 @@ def compose(a: GammaElement, b: GammaElement) -> GammaElement:
     if a.right.digest != b.left.digest:
         raise MiddleMismatch("composition needs a common middle group")
     # Accumulate exact integers over the common denominator da * db, keyed
-    # by class id; compose_classes runs only on a memo miss.
-    da = lcm(*(c.denominator for c in a.coeffs.values()))
-    db = lcm(*(c.denominator for c in b.coeffs.values()))
-    right = [(cls_b, cls_b.uid, cb.numerator * (db // cb.denominator))
-             for cls_b, cb in b.coeffs.items()]
-    memo_get = _CLASS_COMPOSE.get
+    # by class id, one memoized row of class products per class of a.
+    da, left, left_nums = a.scaled()
+    db, right, right_nums = b.scaled()
     acc: dict = {}
     classes: dict = {}
-    for cls_a, ca in a.coeffs.items():
-        ua = cls_a.uid
-        na = ca.numerator * (da // ca.denominator)
-        for cls_b, ub, nb in right:
-            prod = memo_get((ua, ub))
-            if prod is None:
-                prod = compose_classes(cls_a, cls_b)
+    for cls_a, na in zip(left, left_nums):
+        for prod, nb in zip(compose_row(cls_a, right), right_nums):
             c = na * nb
             for cls, mult in prod.items():
                 u = cls.uid

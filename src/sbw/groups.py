@@ -587,24 +587,19 @@ def isomorphisms(G: Group, H: Group, limit: Optional[int] = None) -> list:
     return out
 
 
-@dataclass
-class AutomorphismGroup:
-    group: Group      # composition table of the automorphisms
-    homs: tuple       # homs[i] is the automorphism with table index i
+def automorphism_count(G: Group) -> int:
+    """|Aut(G)|, counted by enumerating automorphisms up to cap^2.
 
-
-@memo.once
-def automorphism_group(G: Group) -> AutomorphismGroup:
-    """Aut(G) as a table group; index 0 is the identity automorphism."""
-    homs = sorted(isomorphisms(G, G), key=lambda h: h.images)
-    index = {h.images: i for i, h in enumerate(homs)}
-    n = len(homs)
-    table = [[0] * n for _ in range(n)]
-    for i, f in enumerate(homs):
-        for j, g in enumerate(homs):
-            table[i][j] = index[tuple(f.images[x] for x in g.images)]
-    group = Group(table, name=f"Aut({G.name})", max_order=max(n, order_cap()))
-    return AutomorphismGroup(group=group, homs=tuple(homs))
+    Past cap^2 automorphisms the enumeration stops and
+    OrderLimitExceeded is raised, so the count never runs unbounded.
+    """
+    cap = order_cap()
+    limit = cap * cap
+    n = len(isomorphisms(G, G, limit=limit + 1))
+    if n > limit:
+        raise OrderLimitExceeded(
+            f"|Aut({G.name})| exceeds {limit}, the square of cap {cap}")
+    return n
 
 
 # -- constructors ------------------------------------------------------------

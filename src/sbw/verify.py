@@ -18,7 +18,7 @@ from typing import Callable
 from . import classify, crossed, gamma, posets, sections
 from .catalog import default_catalog
 from .errors import WorkbenchError
-from .groups import (Group, automorphism_group, double_cosets,
+from .groups import (Group, automorphism_count, double_cosets,
                      generated_subgroup, normal_subgroups, product_set,
                      quotient, subgroup_lattice)
 
@@ -124,10 +124,10 @@ def suite_groups(max_order: int = 8, catalog=None) -> list:
              "double-coset-partition", cosets)
 
         def auts(G=G, gid=gid):
-            A = automorphism_group(G).group
-            assert A.order == _AUT_ORDERS[gid], \
-                f"|Aut({gid})| = {A.order}, expected {_AUT_ORDERS[gid]}"
-            return f"|Aut| = {A.order}"
+            n = automorphism_count(G)
+            assert n == _AUT_ORDERS[gid], \
+                f"|Aut({gid})| = {n}, expected {_AUT_ORDERS[gid]}"
+            return f"|Aut| = {n}"
         _run(out, "groups", f"{gid} automorphism group order", "aut-order",
              auts)
     return out
@@ -315,17 +315,37 @@ def _e_data(G: Group):
     return pairs, poset, es, ecls
 
 
+def _coset_counter(G: Group) -> Callable:
+    """|A\\G/B| for subgroups A, B of G, counted once per pair.
+
+    Each check makes its own counter, so the multiplicities it compares
+    with the class products come from ``double_cosets`` and not from the
+    composition kernel's memo.
+    """
+    counts: dict = {}
+
+    def count(A, B) -> int:
+        key = (A.elems, B.elems)
+        n = counts.get(key)
+        if n is None:
+            n = counts[key] = len(double_cosets(A, G, B))
+        return n
+    return count
+
+
 def _idempotents_common(out: list, gid: str, G: Group, pairs, poset, es, ecls):
     """e-join grid with multiplicities; shared by both modes."""
     def grid():
         n = 0
+        cosets = _coset_counter(G)
+        e_classes = [ecls[w][0] for w in pairs]
         for z in pairs:
             Ez, dz = ecls[z]
-            for w in pairs:
-                Ew, dw = ecls[w]
+            row = gamma.compose_row(Ez, e_classes)
+            for w, prod in zip(pairs, row):
+                _, dw = ecls[w]
                 join = poset.join(z, w)
-                prod = gamma.compose_classes(Ez, Ew)
-                mult = len(double_cosets(z[1], G, w[1]))
+                mult = cosets(z[1], w[1])
                 assert prod == {ecls[join][0]: Fraction(mult)}, (z, w)
                 assert Fraction(mult) * ecls[join][1] == dz * dw, (z, w)
                 n += 1
@@ -410,24 +430,29 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
 
     def covering_action():
         n = 0
-        for b in basis.classes:
+        cosets = _coset_counter(G)
+        e_classes = [ecls[z][0] for z in pairs]
+        ups = [poset.up[poset.index[z]] for z in pairs]
+        # lefts[i][j] = E_z o b for z = pairs[i], b = basis.classes[j].
+        lefts = [gamma.compose_row(Ez, basis.classes) for Ez in e_classes]
+        for j, b in enumerate(basis.classes):
             l0 = basis.left_middle[b]
             r0 = basis.right_middle[b]
+            l0_bit = poset.index[l0]
             belt = gamma.basis_element(G, G, b)
-            for z in pairs:
-                Ez, dz = ecls[z]
-                prod = gamma.compose_classes(Ez, b)
+            mirrors = gamma.compose_row(b, e_classes)
+            for i, z in enumerate(pairs):
+                prod = lefts[i][j]
                 (cls, coeff), = prod.items()
                 join = poset.join(z, l0)
                 assert sections.middle_left(cls) == join, (z, b.key)
-                assert coeff == len(double_cosets(z[1], G, l0[1])), (z, b.key)
-                if posets.pair_leq(z, l0):
+                assert coeff == cosets(z[1], l0[1]), (z, b.key)
+                if ups[i] >> l0_bit & 1:
                     eb = gamma.compose(es[z], belt)
                     assert eb.coeffs == belt.coeffs, (z, b.key)
-                mirror = gamma.compose_classes(b, Ez)
-                (cls2, coeff2), = mirror.items()
+                (cls2, coeff2), = mirrors[i].items()
                 assert sections.middle_right(cls2) == poset.join(z, r0)
-                assert coeff2 == len(double_cosets(r0[1], G, z[1])), (z, b.key)
+                assert coeff2 == cosets(r0[1], z[1]), (z, b.key)
                 n += 1
         return f"{n} class actions over {len(basis.classes)} covering classes"
     _run(out, "idempotents", f"{gid} covering class actions",
@@ -491,17 +516,11 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
 
     def join_lattice():
         n = len(pairs)
-        up = []
-        for i, x in enumerate(pairs):
-            mask = 0
-            for j, y in enumerate(pairs):
-                if poset.leq(x, y):
-                    mask |= 1 << j
-            up.append(mask)
+        up = poset.up
         for i in range(n):
             assert up[i] & (1 << i)
             for j in range(n):
-                k = index[poset.join(pairs[i], pairs[j])]
+                k = poset.join_index(i, j)
                 assert up[i] & up[j] == up[k], (i, j)
         return f"{n * n} joins are least upper bounds"
     _run(out, "idempotents", f"{gid} join lattice structure",
@@ -553,46 +572,59 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
             if old is None or c.sort_key() < old.sort_key():
                 by_l0[l0] = c
         n = 0
-        fcoeff = {x: [(index[z], mob[x, z]) for z in pairs
-                      if mob.get((x, z))] for x in pairs}
+        # f_X = sum of mu(x, z) e_z over x in the block X and z >= x,
+        # collected per z: [(index of z, its coefficient in f_X)].
+        block_coeffs = []
+        for block in part.blocks:
+            acc = {}
+            for x in block:
+                for z in pairs:
+                    mz = mob.get((x, z))
+                    if mz:
+                        acc[index[z]] = acc.get(index[z], 0) + mz
+            block_coeffs.append([(zi, m) for zi, m in acc.items() if m])
+        cosets = _coset_counter(G)
+        e_classes = [ecls[z][0] for z in pairs]
+        ups = [poset.up[poset.index[z]] for z in pairs]
+        witnesses = list(by_l0.values())
+        # lefts[i][j] = E_z o b for z = pairs[i], b = witnesses[j].
+        lefts = [gamma.compose_row(Ez, witnesses) for Ez in e_classes]
         # Factors coeff / dz are kept exact as integers scaled by |G|:
         # dz = (G:P), so |G| * coeff / dz = coeff * |P|.
-        for b in by_l0.values():
+        for j, b in enumerate(witnesses):
             l0 = basis.left_middle[b]
             r0 = basis.right_middle[b]
+            l0_bit, r0_bit = poset.index[l0], poset.index[r0]
             assert part.block_of[l0] == part.block_of[r0], b.key
             belt = gamma.basis_element(G, G, b)
+            mirrors = gamma.compose_row(b, e_classes)
             left = []
             right = []
-            for z in pairs:
-                Ez, _ = ecls[z]
-                prod = gamma.compose_classes(Ez, b)
-                (cls, coeff), = prod.items()
+            for i, z in enumerate(pairs):
+                (cls, coeff), = lefts[i][j].items()
                 assert sections.middle_left(cls) == poset.join(z, l0)
-                assert coeff == len(double_cosets(z[1], G, l0[1]))
+                assert coeff == cosets(z[1], l0[1])
                 left.append((cls, coeff * z[1].order))
-                mirror = gamma.compose_classes(b, Ez)
-                (cls2, coeff2), = mirror.items()
+                (cls2, coeff2), = mirrors[i].items()
                 assert sections.middle_right(cls2) == poset.join(z, r0)
                 right.append((cls2, coeff2 * z[1].order))
-                if posets.pair_leq(z, l0):
+                if ups[i] >> l0_bit & 1:
                     assert left[-1] == (b, G.order), (z, b.key)
-                if posets.pair_leq(z, r0):
+                if ups[i] >> r0_bit & 1:
                     assert right[-1] == (b, G.order), (z, b.key)
                 n += 2
             # Per block: f_X acts the same from both sides (centrality);
             # off-diagonal f_X b f_Y = b f_X f_Y then vanishes by the
             # orthogonality and associativity checked elsewhere.
             total = {}
-            for block in part.blocks:
+            for coeffs in block_coeffs:
                 acc_l = {}
                 acc_r = {}
-                for x in block:
-                    for zi, mz in fcoeff[x]:
-                        cls, q = left[zi]
-                        acc_l[cls] = acc_l.get(cls, 0) + mz * q
-                        cls2, q2 = right[zi]
-                        acc_r[cls2] = acc_r.get(cls2, 0) + mz * q2
+                for zi, m in coeffs:
+                    cls, q = left[zi]
+                    acc_l[cls] = acc_l.get(cls, 0) + m * q
+                    cls2, q2 = right[zi]
+                    acc_r[cls2] = acc_r.get(cls2, 0) + m * q2
                 acc_l = {c: q for c, q in acc_l.items() if q}
                 acc_r = {c: q for c, q in acc_r.items() if q}
                 assert acc_l == acc_r, b.key

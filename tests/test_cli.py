@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,28 @@ def test_group_info(capsys):
     assert data["abelian"] is False
     assert data["center"] == [0]
     assert data["automorphism_order"] == 6
+
+
+def test_group_info_counts_automorphisms_without_tabulating_them(capsys):
+    # (C2)^4: a table of its 20160 automorphisms would have 406M entries.
+    klein = '{"construct":"dihedral","args":[4]}'
+    spec = f'{{"construct":"product","args":[{klein},{klein}]}}'
+    t0 = time.perf_counter()
+    code, data = run_json(capsys, "group", "info", "--group", spec)
+    assert time.perf_counter() - t0 < 5
+    assert code == 0
+    assert data["group"]["order"] == 16
+    assert data["automorphism_order"] == 20160
+
+
+def test_group_info_refuses_more_automorphisms_than_the_cap_squared(capsys):
+    # Cap 12 allows 144 automorphisms; (C2)^3 has 168.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SBW_MAX_ORDER", "12")
+        code, data = run_json(capsys, "group", "info", "--group", "C2xC2xC2")
+    assert code == 1
+    assert data["error"]["type"] == "order_limit_exceeded"
+    assert "144" in data["error"]["message"]
 
 
 def test_group_info_accepts_inline_json(capsys):

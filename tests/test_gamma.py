@@ -313,11 +313,22 @@ def test_compose_matches_the_naive_bilinear_sum(data):
     assert not cancel.is_zero()
     assert gamma.compose(gamma.basis_element(G, H, cls_a, q),
                          cancel).is_zero()
+    before = (dict(a.coeffs), dict(b.coeffs))
     for right_elt in (b, b + cancel):
         out = gamma.compose(a, right_elt)
         assert out.coeffs == naive_compose(a, right_elt)
         assert all(type(c) is Fraction and c for c in out.coeffs.values())
     assert gamma.compose(a, b - b).is_zero()
+    # The same objects again, b also as a left operand: compose now reads
+    # their scaled coefficients from the form cached on first use.
+    for left_elt, right_elt in ((a, b), (b, b), (a, b), (b, b)):
+        assert gamma.compose(left_elt, right_elt).coeffs == \
+            naive_compose(left_elt, right_elt)
+    assert (a.coeffs, b.coeffs) == before
+    for elt in (a, b):
+        d, classes, nums = elt.scaled()
+        assert {cls: Fraction(n, d) for cls, n in zip(classes, nums)} == \
+            elt.coeffs
 
 
 def test_class_product_matches_the_memoized_product_on_a_gamma_set():
@@ -375,3 +386,54 @@ def test_twist_memo_belongs_to_each_middle_group():
         assert list(memo.table(H, "twists")) == [(A.elems, B.elems)]
     assert twists[0] == twists[1]
     assert memo.table(H1, "twists") is not memo.table(H2, "twists")
+
+
+def forget_products(a, bs):
+    """Drop the memoized products a o b, so that compose_row misses."""
+    table = memo.table(None, "compose_classes")
+    for b in bs:
+        table.pop((a.uid, b.uid), None)
+    return table
+
+
+def assert_row_matches_the_kernel(left, right):
+    for a in left:
+        forget_products(a, right)
+        row = gamma.compose_row(a, right)
+        assert [list(p.items()) for p in row] == \
+            [list(gamma.class_product(a, b).items()) for b in right]
+        # The memo now holds the row: compose_classes hands back its dicts.
+        for b, prod in zip(right, row):
+            assert gamma.compose_classes(a, b) is prod
+
+
+def test_memoized_row_matches_the_kernel_on_every_pair():
+    C2xS3 = gamma_basis(cg("C2"), cg("S3"))
+    S3xC2 = gamma_basis(cg("S3"), cg("C2"))
+    assert_row_matches_the_kernel(C2xS3, S3xC2)
+    assert_row_matches_the_kernel(S3xC2, C2xS3)
+
+
+def test_memoized_row_mixes_hits_and_misses():
+    a = gamma_basis(cg("C2"), cg("S3"))[7]
+    right = gamma_basis(cg("S3"), cg("C2"))
+    forget_products(a, right)
+    hits = {k: gamma.compose_classes(a, right[k])
+            for k in range(0, len(right), 2)}
+    row = gamma.compose_row(a, right)
+    assert [list(p.items()) for p in row] == \
+        [list(gamma.class_product(a, b).items()) for b in right]
+    for k, prod in hits.items():
+        assert row[k] is prod
+    for b, prod in zip(right, row):
+        assert gamma.compose_classes(a, b) is prod
+
+
+def test_memoized_row_stores_nothing_when_the_batch_fails():
+    a = gamma_basis(cg("C2"), cg("S3"))[-1]
+    right = (gamma_basis(cg("S3"), cg("C2"))[:3]
+             + gamma_basis(cg("C3"), cg("C2"))[:1])
+    table = forget_products(a, right)
+    with pytest.raises(MiddleMismatch):
+        gamma.compose_row(a, right)
+    assert not [b for b in right if (a.uid, b.uid) in table]
