@@ -141,10 +141,18 @@ def build_poset(G: Group) -> FinitePoset:
     top = (G.full_subgroup(), G.trivial_subgroup())
     assert all(poset.leq(bottom, x) for x in poset.elements)
     assert all(poset.leq(x, top) for x in poset.elements)
+    # Few distinct subgroups occur, so each product and meet is built once.
+    prods: dict = {}
+    meets: dict = {}
     for x in poset.elements:
         for y in poset.elements:
-            expect = (product_set(x[0], y[0]), intersection(x[1], y[1]))
-            if poset.join(x, y) != expect:
+            kl = prods.get((x[0], y[0]))
+            if kl is None:
+                kl = prods[x[0], y[0]] = product_set(x[0], y[0])
+            pq = meets.get((x[1], y[1]))
+            if pq is None:
+                pq = meets[x[1], y[1]] = intersection(x[1], y[1])
+            if poset.join(x, y) != (kl, pq):
                 raise NotInPoset("join structure is inconsistent")
     return poset
 

@@ -442,8 +442,7 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
             belt = gamma.basis_element(G, G, b)
             mirrors = gamma.compose_row(b, e_classes)
             for i, z in enumerate(pairs):
-                prod = lefts[i][j]
-                (cls, coeff), = prod.items()
+                (cls, coeff), = lefts[i][j].items()
                 join = poset.join(z, l0)
                 assert sections.middle_left(cls) == join, (z, b.key)
                 assert coeff == cosets(z[1], l0[1]), (z, b.key)
@@ -572,17 +571,8 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
             if old is None or c.sort_key() < old.sort_key():
                 by_l0[l0] = c
         n = 0
-        # f_X = sum of mu(x, z) e_z over x in the block X and z >= x,
-        # collected per z: [(index of z, its coefficient in f_X)].
-        block_coeffs = []
-        for block in part.blocks:
-            acc = {}
-            for x in block:
-                for z in pairs:
-                    mz = mob.get((x, z))
-                    if mz:
-                        acc[index[z]] = acc.get(index[z], 0) + mz
-            block_coeffs.append([(zi, m) for zi, m in acc.items() if m])
+        fcoeff = {x: [(index[z], mob[x, z]) for z in pairs
+                      if mob.get((x, z))] for x in pairs}
         cosets = _coset_counter(G)
         e_classes = [ecls[z][0] for z in pairs]
         ups = [poset.up[poset.index[z]] for z in pairs]
@@ -617,14 +607,15 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
             # off-diagonal f_X b f_Y = b f_X f_Y then vanishes by the
             # orthogonality and associativity checked elsewhere.
             total = {}
-            for coeffs in block_coeffs:
+            for block in part.blocks:
                 acc_l = {}
                 acc_r = {}
-                for zi, m in coeffs:
-                    cls, q = left[zi]
-                    acc_l[cls] = acc_l.get(cls, 0) + m * q
-                    cls2, q2 = right[zi]
-                    acc_r[cls2] = acc_r.get(cls2, 0) + m * q2
+                for x in block:
+                    for zi, mz in fcoeff[x]:
+                        cls, q = left[zi]
+                        acc_l[cls] = acc_l.get(cls, 0) + mz * q
+                        cls2, q2 = right[zi]
+                        acc_r[cls2] = acc_r.get(cls2, 0) + mz * q2
                 acc_l = {c: q for c, q in acc_l.items() if q}
                 acc_r = {c: q for c, q in acc_r.items() if q}
                 assert acc_l == acc_r, b.key
