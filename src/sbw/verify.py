@@ -603,6 +603,9 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
                 if ups[i] >> r0_bit & 1:
                     assert right[-1] == (b, G.order), (z, b.key)
                 n += 2
+            # Classes are interned, so the sums below are keyed by uid.
+            left_ids = [(cls.uid, q) for cls, q in left]
+            right_ids = [(cls.uid, q) for cls, q in right]
             # Per block: f_X acts the same from both sides (centrality);
             # off-diagonal f_X b f_Y = b f_X f_Y then vanishes by the
             # orthogonality and associativity checked elsewhere.
@@ -612,17 +615,17 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
                 acc_r = {}
                 for x in block:
                     for zi, mz in fcoeff[x]:
-                        cls, q = left[zi]
-                        acc_l[cls] = acc_l.get(cls, 0) + mz * q
-                        cls2, q2 = right[zi]
-                        acc_r[cls2] = acc_r.get(cls2, 0) + mz * q2
+                        u, q = left_ids[zi]
+                        acc_l[u] = acc_l.get(u, 0) + mz * q
+                        u, q = right_ids[zi]
+                        acc_r[u] = acc_r.get(u, 0) + mz * q
                 acc_l = {c: q for c, q in acc_l.items() if q}
                 acc_r = {c: q for c, q in acc_r.items() if q}
                 assert acc_l == acc_r, b.key
                 for c, q in acc_l.items():
                     total[c] = total.get(c, 0) + q
             total = {c: q for c, q in total.items() if q}
-            assert total == {c: G.order * q
+            assert total == {c.uid: G.order * q
                              for c, q in belt.coeffs.items()}, b.key
         return f"{n} composes over {len(by_l0)} witness classes"
     _run(out, "idempotents", f"{gid} covering witness actions",
