@@ -406,21 +406,13 @@ class ReducedStatus:
 
 
 def _catalog_groups(catalog):
-    """Normalize a catalog argument to a list of (gid, Group)."""
+    """The (gid, Group) pairs of a Catalog (None: the default one), sorted
+    by order and id."""
     if catalog is None:
         from .catalog import default_catalog
         catalog = default_catalog()
-    entries = getattr(catalog, "entries", catalog)
-    out = []
-    for item in entries:
-        if isinstance(item, Group):
-            out.append((item.name, item))
-        elif isinstance(item, tuple):
-            out.append(item)
-        else:
-            out.append((item.gid, item.group))
-    out.sort(key=lambda t: (t[1].order, t[0]))
-    return out
+    return sorted(((e.gid, e.group) for e in catalog.entries),
+                  key=lambda t: (t[1].order, t[0]))
 
 
 def reduced_status(G: Group, pair, catalog=None) -> ReducedStatus:
@@ -502,7 +494,7 @@ def essential_report(G: Group, catalog=None) -> EssentialReport:
         return cache[key]
     basis = covering_basis(G)
     part = linkage_partition(G)
-    statuses = {pair: reduced_status(G, pair, groups)
+    statuses = {pair: reduced_status(G, pair, catalog)
                 for pair in part.pairs}
     blocks = []
     lo = hi = 0

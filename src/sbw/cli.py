@@ -11,6 +11,7 @@ machine readable error object on stdout), 2 usage errors.
 import argparse
 import json
 import os
+import sys
 
 from . import catalog as catalogs
 from . import classify, gamma, jsonio, posets, sections, verify
@@ -368,10 +369,23 @@ def main(argv=None) -> int:
     try:
         code, payload = args.handler(args)
     except WorkbenchError as exc:
-        print(jsonio.dumps({"error": exc.payload()}))
+        _emit(jsonio.dumps({"error": exc.payload()}))
         return 1
-    if args.format == "json":
-        print(jsonio.dumps(payload))
-    else:
-        print(render_table(payload))
-    return code
+    text = (jsonio.dumps(payload) if args.format == "json"
+            else render_table(payload))
+    return code if _emit(text) else 1
+
+
+def _emit(text: str) -> bool:
+    """Print ``text``; False if the reader has closed standard output."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at interpreter exit
+        # does not fail again (the SIGPIPE note of the ``signal`` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True

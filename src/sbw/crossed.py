@@ -279,12 +279,7 @@ def link_section(G: Group, K: Subgroup, P: Subgroup,
     qview = coset_structure(H, Q, H.trivial_subgroup())
     alpha, beta = m.alpha.images, m.beta.images
     ho = H.order
-    g_cosets = [[] for _ in range(gk.group.order)]
-    for g in range(G.order):
-        g_cosets[gk.idx(g)].append(g)
-    h_cosets = [[] for _ in range(hl.group.order)]
-    for h in range(ho):
-        h_cosets[hl.idx(h)].append(h)
+    g_cosets, h_cosets = gk.members, hl.members
     t_elems = [g * ho + h for j, hs in enumerate(h_cosets)
                for h in hs for g in g_cosets[beta[j]]]
     # T is generated by a lift of each generator of G, K x 1 and 1 x L;

@@ -809,11 +809,11 @@ class CosetView:
     """The quotient P/K of a subgroup pair, with maps to and from the parent.
 
     ``group`` is the quotient as a table group, ``idx(g)`` the coset index
-    of a parent element g in P (-1 outside P), ``rep(i)`` the least parent
-    element representing coset i.
+    of a parent element g in P (-1 outside P), ``members[i]`` the parent
+    elements of coset i in ascending order and ``rep(i)`` the least of them.
     """
 
-    __slots__ = ("parent", "P", "K", "group", "_idx", "_reps")
+    __slots__ = ("parent", "P", "K", "group", "members", "_idx")
 
     def __init__(self, parent: Group, P: Subgroup, K: Subgroup):
         if not is_normal_in(K, P):
@@ -830,18 +830,16 @@ class CosetView:
         for e, i in sub_idx.items():
             idx[e] = pi.images[i]
         self._idx = tuple(idx)
-        reps = [-1] * Q.order
+        members = [[] for _ in range(Q.order)]
         for e in P.elems:
-            c = idx[e]
-            if reps[c] < 0:
-                reps[c] = e
-        self._reps = tuple(reps)
+            members[idx[e]].append(e)
+        self.members = tuple(map(tuple, members))
 
     def idx(self, g: int) -> int:
         return self._idx[g]
 
     def rep(self, i: int) -> int:
-        return self._reps[i]
+        return self.members[i][0]
 
 
 def coset_structure(parent: Group, P: Subgroup, K: Subgroup) -> CosetView:

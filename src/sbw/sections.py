@@ -427,6 +427,70 @@ def opposite_class(cls: SectionClass) -> SectionClass:
 
 # -- constrained enumeration ---------------------------------------------------
 
+def _t_candidates(ambient: Group, K: Subgroup, L: Subgroup) -> tuple:
+    """(gi, one (etaT on H, T elems, T gens) per iso etaT: H/L -> G/K).
+
+    gi[g] is the coset index of g mod K, and etaT on H maps h to etaT(hL).
+    T = {(g, h) : etaT(hL) = gK} is the graph of etaT.  All of it depends
+    on (K, L) alone, so it is built once per pair in the product's memo.
+    """
+    cache = memo.table(ambient, "t_candidates")
+    key = (K.elems, L.elems)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    G, H = ambient.factors
+    gk = coset_structure(G, G.full_subgroup(), K)
+    hl = coset_structure(H, H.full_subgroup(), L)
+    ho = H.order
+    gi = tuple([gk.idx(g) for g in range(G.order)])
+    hi = [hl.idx(h) for h in range(ho)]
+    cosets = hl.members
+    kl_gens = [k * ho for k in K.generators()] + list(L.generators())
+    out = []
+    for etat in isomorphisms(hl.group, gk.group):
+        images = etat.images
+        pre = {c: j for j, c in enumerate(images)}
+        t_elems = tuple([g * ho + h for g, c in enumerate(gi)
+                         for h in cosets[pre[c]]])
+        # T is generated by K x 1, 1 x L and a lift of each generator of G.
+        t_gens = tuple([x * ho + cosets[pre[gi[x]]][0]
+                        for x in G.generators()] + kl_gens)
+        out.append((tuple([images[j] for j in hi]), t_elems, t_gens))
+    cache[key] = hit = (gi, tuple(out))
+    return hit
+
+
+def _s_candidates(ambient: Group, P: Subgroup, Q: Subgroup) -> tuple:
+    """(Q's generators, one (alpha on them, S set, S sorted, S gens) per
+    iso etaS: Q -> P).
+
+    alpha is etaS read in G and S = {(alpha(q), q)} its graph.  All of it
+    depends on (P, Q) alone, so it is built once per pair in the product's
+    memo.
+    """
+    cache = memo.table(ambient, "s_candidates")
+    key = (P.elems, Q.elems)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    G, H = ambient.factors
+    pv = coset_structure(G, P, G.trivial_subgroup())
+    qv = coset_structure(H, Q, H.trivial_subgroup())
+    ho = H.order
+    q_gens = Q.generators()
+    qi = [qv.idx(q) for q in Q.elems]
+    out = []
+    for etas in isomorphisms(qv.group, pv.group):
+        alpha = {q: pv.rep(etas.images[j]) for q, j in zip(Q.elems, qi)}
+        s_set = frozenset(a * ho + q for q, a in alpha.items())
+        out.append((tuple([alpha[q] for q in q_gens]), s_set,
+                    tuple(sorted(s_set)),
+                    tuple([alpha[q] * ho + q for q in q_gens])))
+    cache[key] = hit = (q_gens, tuple(out))
+    return hit
+
+
 def constrained_sections(G: Group, H: Group, K: Subgroup, P: Subgroup,
                          L: Subgroup, Q: Subgroup) -> tuple:
     """Classes of covering sections of G x H with l0 = (K, P), r0 = (L, Q).
@@ -435,6 +499,12 @@ def constrained_sections(G: Group, H: Group, K: Subgroup, P: Subgroup,
     (P, 1, etaS, 1, Q), so the search runs over pairs of isomorphisms
     instead of the full subgroup lattice of the product.  Only meaningful
     when K, P are normal in G and L, Q normal in H (the covering case).
+
+    The graphs T of all etaT, with their generators, are built once per
+    (K, L), and the graphs S of all etaS once per (P, Q).  A call joins
+    the two lists: etaT and etaS fit when gi[alpha(q)] == etaT(qL) on the
+    generators q of Q, and a fitting pair gives a class when S is normal
+    in T, which is tested on the generators of both.
     """
     # etaT: H/L -> G/K and etaS: Q -> P are isomorphisms, so unequal
     # orders leave no class at all.
@@ -446,46 +516,22 @@ def constrained_sections(G: Group, H: Group, K: Subgroup, P: Subgroup,
     hit = cache.get(key)
     if hit is not None:
         return hit
-    gk = coset_structure(G, G.full_subgroup(), K)
-    hl = coset_structure(H, H.full_subgroup(), L)
-    pv = coset_structure(G, P, G.trivial_subgroup())
-    qv = coset_structure(H, Q, H.trivial_subgroup())
-    etats = isomorphisms(hl.group, gk.group)
-    etass = isomorphisms(qv.group, pv.group)
+    gi, ts = _t_candidates(ambient, K, L)
+    q_gens, ss = _s_candidates(ambient, P, Q)
     out = set()
-    if etats and etass:
-        go, ho = G.order, H.order
-        gi = [gk.idx(g) for g in range(go)]
-        hi = [hl.idx(h) for h in range(ho)]
-        cosets = [[] for _ in range(hl.group.order)]
-        for h in range(ho):
-            cosets[hi[h]].append(h)
-        kl_gens = [k * ho for k in K.generators()] + list(L.generators())
-        q_gens = Q.generators()
-        # A pair (etaT, etaS) fits when gi[alpha(q)] == etaT(hi[q]) on the
-        # generators of Q, alpha = etaS read in G; join on those values.
+    if ts and ss:
         by_key: dict = {}
-        for etat in etats:
-            pre = {c: j for j, c in enumerate(etat.images)}
-            t_elems = tuple([g * ho + h for g in range(go)
-                             for h in cosets[pre[gi[g]]]])
-            # T is generated by K x 1, 1 x L and a lift of each generator of G.
-            t_gens = [x * ho + cosets[pre[gi[x]]][0]
-                      for x in G.generators()] + kl_gens
-            by_key.setdefault(tuple(etat.images[hi[q]] for q in q_gens),
+        for eta, t_elems, t_gens in ts:
+            by_key.setdefault(tuple([eta[q] for q in q_gens]),
                               []).append((t_elems, t_gens))
-        for etas in etass:
-            alpha = {q: pv.rep(etas.images[qv.idx(q)]) for q in Q.elems}
-            fits = by_key.get(tuple(gi[alpha[q]] for q in q_gens))
+        conj = ambient.conj
+        for alpha, s_set, s_sorted, s_gens in ss:
+            fits = by_key.get(tuple([gi[a] for a in alpha]))
             if fits is None:
                 continue
-            s_elems = frozenset(a * ho + q for q, a in alpha.items())
-            s_sorted = tuple(sorted(s_elems))
-            s_gens = [alpha[q] * ho + q for q in q_gens]
             for t_elems, t_gens in fits:
-                if all(ambient.conj(t, s) in s_elems
-                       for t in t_gens for s in s_gens):
+                if all(conj(t, s) in s_set for t in t_gens for s in s_gens):
                     out.add(canonical_section(ambient, t_elems, s_sorted))
-    result = tuple(sorted(out))
+    result = tuple(sorted(out, key=SectionClass.sort_key))
     cache[key] = result
     return result

@@ -360,7 +360,7 @@ def _idempotents_self_opposite(out: list, gid: str, G: Group, basis, ecls):
         for b in basis.classes:
             r0 = basis.right_middle[b]
             l0 = basis.left_middle[b]
-            prod = gamma.compose_classes(b, sections.opposite_class(b))
+            prod = gamma.class_product(b, sections.opposite_class(b))
             scale = Fraction(G.order, r0[1].order)
             assert prod == {ecls[l0][0]: scale}, b.key
             n += 1

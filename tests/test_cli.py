@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sbw
 from sbw import catalog, cli, gamma, jsonio
 
 C2 = catalog.default_catalog().by_id("C2").group
@@ -342,6 +345,23 @@ def test_table_format_renders_rows(capsys):
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert any(ln.lstrip().startswith("S ") for ln in lines)
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # The reader closes its end before the child has started, so the
+    # child's write hits a broken pipe.
+    src = os.path.dirname(os.path.dirname(sbw.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sbw", "group", "info", "--group", "S3",
+         "--format", "table"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 def test_unsafe_order_raises_the_cap(capsys):

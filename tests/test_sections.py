@@ -181,7 +181,7 @@ def test_constrained_sections_find_the_q8_d8_bimodule():
 
 @pytest.mark.parametrize("gid_g,gid_h", [
     ("C2xC2", "C4"), ("C4", "C2xC2"), ("S3", "S3"), ("C2", "S3"),
-    ("C2xC2", "C2xC2"),
+    ("C2xC2", "C2xC2"), ("D8", "Q8"), ("Q8", "D8"), ("S3", "C6"),
 ])
 def test_constrained_sections_match_brute_force(gid_g, gid_h):
     G, H = cg(gid_g), cg(gid_h)
