@@ -33,12 +33,6 @@ class Catalog:
     def ids(self) -> tuple:
         return tuple(entry.gid for entry in self.entries)
 
-    def of_order(self, n: int) -> tuple:
-        return tuple(e for e in self.entries if e.group.order == n)
-
-    def complete_through(self, n: int) -> bool:
-        return all(m in self.complete_orders for m in range(1, n + 1))
-
     def restrict(self, max_order: int) -> "Catalog":
         kept = tuple(e for e in self.entries if e.group.order <= max_order)
         return Catalog(entries=kept,

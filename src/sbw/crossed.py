@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import memo
-from .errors import AxiomFailed, NotAutomorphism, NotInPoset, NotIso
+from .errors import AxiomFailed, NotAutomorphism, NotInPoset
 from .groups import (
     Group,
     Hom,
@@ -23,23 +23,19 @@ from .groups import (
     commute_elementwise,
     coset_structure,
     isomorphisms,
-    quotient,
 )
 
 
 class CrossedModule:
     """(A, B, boundary, action); ``action[b]`` is an image tuple on A."""
 
-    def __init__(self, a: Group, b: Group, boundary: Hom, action,
-                 check: bool = True):
+    def __init__(self, a: Group, b: Group, boundary: Hom, action):
         self.a = a
         self.b = b
         self.boundary = boundary
         self.action = tuple(tuple(row) for row in action)
-        self._fingerprint = None
         self._memo = memo.tables()
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         A, B = self.a, self.b
@@ -77,18 +73,13 @@ class CrossedModule:
                 if row[y] != A.conj(x, y):
                     raise AxiomFailed("Peiffer identity fails")
 
+    @memo.once
     def fingerprint(self) -> tuple:
         """Cheap isomorphism invariants, used to prune iso searches."""
-        if self._fingerprint is None:
-            image_size = len(set(self.boundary.images))
-            orbit_sizes = self._orbit_census()
-            self._fingerprint = (
-                self.a.order, self.b.order,
+        return (self.a.order, self.b.order,
                 tuple(sorted(self.a.element_orders())),
                 tuple(sorted(self.b.element_orders())),
-                image_size, orbit_sizes,
-            )
-        return self._fingerprint
+                len(set(self.boundary.images)), self._orbit_census())
 
     def _orbit_census(self) -> tuple:
         seen = [False] * self.a.order
@@ -160,13 +151,11 @@ class CMorphism:
     __slots__ = ("src", "dst", "alpha", "beta")
 
     def __init__(self, src: CrossedModule, dst: CrossedModule,
-                 alpha: Hom, beta: Hom, check: bool = True):
+                 alpha: Hom, beta: Hom):
         self.src = src
         self.dst = dst
         self.alpha = alpha
         self.beta = beta
-        if check and not _is_cmorphism(src, dst, alpha.images, beta.images):
-            raise NotIso("(alpha, beta) is not a morphism of crossed modules")
 
     def is_iso(self) -> bool:
         return self.alpha.is_bijective() and self.beta.is_bijective()
@@ -215,7 +204,7 @@ def iso_search(src: CrossedModule, dst: CrossedModule,
         key = tuple(bd_d[alpha.images[g]] for g in probe)
         for beta in buckets.get(key, ()):
             if _is_cmorphism(src, dst, alpha.images, beta.images):
-                out.append(CMorphism(src, dst, alpha, beta, check=False))
+                out.append(CMorphism(src, dst, alpha, beta))
                 if limit is not None and len(out) >= limit:
                     return out
     return out
@@ -223,37 +212,43 @@ def iso_search(src: CrossedModule, dst: CrossedModule,
 
 @dataclass
 class AutOut:
-    """Aut of a crossed module as a table group, plus Inn and Out."""
+    """Aut of a crossed module, its inner part and one aut per coset of Inn."""
     module: CrossedModule
-    group: Group          # composition table of the automorphisms
-    auts: tuple           # auts[i] is the CMorphism at table index i
-    inn: Subgroup         # image of theta inside `group`
+    auts: tuple           # the automorphisms, sorted by their image tuples
+    inn: tuple            # sorted indices into `auts` of the inner ones
     theta_images: tuple   # theta(b) as an index into `auts`, per b in B
-    out_group: Group
-    out_reps: tuple       # aut indices representing the cosets of inn
+    out_reps: tuple       # least index in each coset f o Inn, ascending
 
 
 @memo.once
 def aut_out(cm: CrossedModule) -> AutOut:
+    """Out = Aut/Inn, read off by walking the cosets f o Inn in index order.
+
+    Each coset is marked as it is walked; meeting a marked index means the
+    inner automorphisms do not split Aut into disjoint equal cosets.
+    """
     auts = iso_search(cm, cm)
     auts.sort(key=lambda m: (m.alpha.images, m.beta.images))
     index = {(m.alpha.images, m.beta.images): i for i, m in enumerate(auts)}
-    n = len(auts)
-    table = [[0] * n for _ in range(n)]
-    for i, f in enumerate(auts):
-        for j, g in enumerate(auts):
-            comp = (tuple(f.alpha.images[x] for x in g.alpha.images),
-                    tuple(f.beta.images[x] for x in g.beta.images))
-            table[i][j] = index[comp]
-    group = Group(table, name="Aut(cm)")
     theta_images = tuple(
         index[(cm.action[b], cm.b.conj_perm(b))] for b in range(cm.b.order))
-    inn = Subgroup(group, set(theta_images), check=False)
-    out_group, pi = quotient(group, inn)
-    out_reps = tuple(out_group._coset_reps)
-    return AutOut(module=cm, group=group, auts=tuple(auts), inn=inn,
-                  theta_images=theta_images, out_group=out_group,
-                  out_reps=out_reps)
+    inn = tuple(sorted(set(theta_images)))
+    inner = [(auts[t].alpha.images, auts[t].beta.images) for t in inn]
+    seen = bytearray(len(auts))
+    out_reps = []
+    for i, f in enumerate(auts):
+        if seen[i]:
+            continue
+        out_reps.append(i)
+        fa, fb = f.alpha.images, f.beta.images
+        for ta, tb in inner:
+            j = index[(tuple(fa[x] for x in ta), tuple(fb[x] for x in tb))]
+            if seen[j]:
+                raise AxiomFailed("inner automorphisms do not partition Aut "
+                                  "into cosets")
+            seen[j] = 1
+    return AutOut(module=cm, auts=tuple(auts), inn=inn,
+                  theta_images=theta_images, out_reps=tuple(out_reps))
 
 
 @dataclass

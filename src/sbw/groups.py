@@ -103,12 +103,6 @@ class Group:
         arr = np.asarray(rows, dtype=np.uint16)
         self.digest = hashlib.blake2b(arr.tobytes(), digest_size=12).hexdigest()
         self._inv = tuple(int(row.index(0)) for row in rows)
-        self._conj_perms: dict = {}
-        self._elem_orders: Optional[tuple] = None
-        self._generators: Optional[tuple] = None
-        self._abelian: Optional[bool] = None
-        self._full: Optional[Subgroup] = None
-        self._trivial: Optional[Subgroup] = None
         self._memo = memo.tables()
 
     # -- basic arithmetic ------------------------------------------------
@@ -124,58 +118,52 @@ class Group:
 
     def conj_perm(self, g: int) -> tuple:
         """The permutation x -> g*x*g^-1 as an image tuple."""
-        perm = self._conj_perms.get(g)
+        cache = memo.table(self, "conj_perm")
+        perm = cache.get(g)
         if perm is None:
             row = self.table[g]
             gi = self._inv[g]
             perm = tuple(self.table[row[x]][gi] for x in range(self.order))
-            self._conj_perms[g] = perm
+            cache[g] = perm
         return perm
 
     def element_order(self, a: int) -> int:
         return self.element_orders()[a]
 
+    @memo.once
     def element_orders(self) -> tuple:
-        if self._elem_orders is None:
-            orders = []
-            for a in range(self.order):
-                x, k = a, 1
-                while x != 0:
-                    x = self.table[x][a]
-                    k += 1
-                orders.append(k)
-            self._elem_orders = tuple(orders)
-        return self._elem_orders
+        orders = []
+        for a in range(self.order):
+            x, k = a, 1
+            while x != 0:
+                x = self.table[x][a]
+                k += 1
+            orders.append(k)
+        return tuple(orders)
 
+    @memo.once
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            t = self.table
-            self._abelian = all(
-                t[a][b] == t[b][a]
-                for a in range(self.order) for b in range(a + 1, self.order)
-            )
-        return self._abelian
+        t = self.table
+        return all(t[a][b] == t[b][a]
+                   for a in range(self.order) for b in range(a + 1, self.order))
 
+    @memo.once
     def generators(self) -> tuple:
         """A small generating sequence, grown by least element not yet generated."""
-        if self._generators is None:
-            self._generators = _least_generators(self, range(self.order))
-        return self._generators
+        return _least_generators(self, range(self.order))
 
     # -- subgroup shorthands ----------------------------------------------
     def subgroup(self, elems: Iterable[int], gens=None, check: bool = True) -> "Subgroup":
         return Subgroup(self, elems, gens=gens, check=check)
 
+    @memo.once
     def trivial_subgroup(self) -> "Subgroup":
-        if self._trivial is None:
-            self._trivial = Subgroup(self, (0,), gens=(), check=False)
-        return self._trivial
+        return Subgroup(self, (0,), gens=(), check=False)
 
+    @memo.once
     def full_subgroup(self) -> "Subgroup":
-        if self._full is None:
-            self._full = Subgroup(self, range(self.order),
-                                  gens=self.generators(), check=False)
-        return self._full
+        return Subgroup(self, range(self.order), gens=self.generators(),
+                        check=False)
 
     # -- direct product helpers --------------------------------------------
     def pair(self, a: int, b: int) -> int:
@@ -233,13 +221,14 @@ def _least_generators(G: Group, elems: Sequence[int]) -> tuple:
 class Subgroup:
     """A subgroup of a fixed parent group, stored as a sorted element tuple."""
 
-    __slots__ = ("parent", "elems", "elem_set", "gens", "_normal", "_gen_cache",
-                 "_hash")
+    __slots__ = ("parent", "elems", "elem_set", "order", "gens", "_normal",
+                 "_gen_cache", "_hash")
 
     def __init__(self, parent: Group, elems: Iterable[int], gens=None, check: bool = True):
         self.parent = parent
         self.elems = tuple(sorted(set(int(x) for x in elems)))
         self.elem_set = frozenset(self.elems)
+        self.order = len(self.elems)
         self._hash = hash((parent.digest, self.elems))
         self.gens = tuple(gens) if gens is not None else None
         self._normal = None
@@ -256,12 +245,8 @@ class Subgroup:
                         raise NotSubgroup(f"not closed: {a}*{b} escapes")
 
     @property
-    def order(self) -> int:
-        return len(self.elems)
-
-    @property
     def index(self) -> int:
-        return self.parent.order // len(self.elems)
+        return self.parent.order // self.order
 
     def generators(self) -> tuple:
         """A small generating sequence inside the parent's indexing."""
@@ -489,9 +474,6 @@ class Hom:
                 for b in range(source.order):
                     if im[st[a][b]] != tt[im[a]][im[b]]:
                         raise NotIso(f"not a homomorphism at ({a},{b})")
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
 
     def is_bijective(self) -> bool:
         return (self.source.order == self.target.order
@@ -783,7 +765,6 @@ def quotient(G: Group, N: Subgroup) -> tuple:
               for i in range(qn)]
     name = f"{G.name}/{N.order}"
     Q = Group(qtable, name=name)
-    Q._coset_reps = tuple(reps)
     pi = Hom(G, Q, tuple(idx[rep_of[g]] for g in range(G.order)), check=False)
     result = (Q, pi)
     cache[N.elems] = result

@@ -13,6 +13,10 @@ Every memo table is a plain dict reached through ``table(owner, name)``.
 
 Hot paths fetch their table once per call (or once at import, for a
 process-wide table) and then read it with a single ``dict.get``.
+
+The slotted value types (``Subgroup``, ``SectionClass``, ``GammaElement``)
+have no ``_memo`` and keep their few lazy values in slots: a run makes
+10^4 to 10^5 of them, and a dict per instance would be paid on each.
 """
 
 from collections import defaultdict

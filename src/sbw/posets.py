@@ -175,11 +175,15 @@ def f_idempotent(G: Group, pair: tuple) -> gamma.GammaElement:
     """f_(K,P): the Mobius combination of the e's above (K, P)."""
     poset = build_poset(G)
     i = _require_pair(poset, pair)
-    mob = poset.mobius()
-    out = gamma.zero(G, G)
-    for j in poset.upper_set(pair):
-        L, Q = poset.elements[j]
-        out = out + mob[(i, j)] * gamma.e_idempotent(G, L, Q)
+    cache = memo.table(G, "f_idempotent")
+    out = cache.get(i)
+    if out is None:
+        mob = poset.mobius()
+        out = gamma.zero(G, G)
+        for j in poset.upper_set(pair):
+            L, Q = poset.elements[j]
+            out = out + mob[(i, j)] * gamma.e_idempotent(G, L, Q)
+        cache[i] = out
     return out
 
 

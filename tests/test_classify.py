@@ -156,7 +156,7 @@ def test_gamma_group_matches_out_of_the_crossed_module():
     Z = groups.center(G)
     gg = classify.gamma_group(G, Z, Z)
     ao = crossed.aut_out(crossed.from_pair(G, Z, Z))
-    assert gg.order == ao.out_group.order
+    assert gg.order == len(ao.out_reps)
 
 
 def test_gamma_group_rejects_noncommuting_pair():

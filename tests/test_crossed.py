@@ -145,9 +145,8 @@ def test_aut_out_on_klein_four():
     V4 = cg("C2xC2")
     cm = crossed.from_pair(V4, V4.trivial_subgroup(), V4.full_subgroup())
     ao = crossed.aut_out(cm)
-    assert ao.group.order == 6
-    assert ao.inn.order == 1
-    assert ao.out_group.order == 6
+    assert len(ao.auts) == 6
+    assert len(ao.inn) == 1
     assert len(ao.out_reps) == 6
     assert len(ao.theta_images) == V4.order
 
@@ -162,9 +161,37 @@ def test_theta_images_form_the_inner_subgroup():
     Q8 = cg("Q8")
     cm = crossed.from_pair(Q8, groups.center(Q8), cyclic4_subgroup(Q8))
     ao = crossed.aut_out(cm)
-    assert set(ao.theta_images) == set(ao.inn.elems)
-    assert ao.group.order % ao.inn.order == 0
-    assert ao.out_group.order == ao.group.order // ao.inn.order
+    assert set(ao.theta_images) == set(ao.inn)
+    assert len(ao.auts) % len(ao.inn) == 0
+    assert len(ao.out_reps) == len(ao.auts) // len(ao.inn)
+
+
+def _out_by_cayley_table(ao):
+    """Least member of each coset of Inn, via Aut's table and its quotient."""
+    index = {(m.alpha.images, m.beta.images): i
+             for i, m in enumerate(ao.auts)}
+    table = [[index[(tuple(f.alpha.images[x] for x in g.alpha.images),
+                     tuple(f.beta.images[x] for x in g.beta.images))]
+              for g in ao.auts] for f in ao.auts]
+    aut = groups.Group(table, name="Aut(cm)")
+    out, pi = groups.quotient(aut, aut.subgroup(ao.theta_images))
+    reps = [None] * out.order
+    for i in reversed(range(aut.order)):
+        reps[pi.images[i]] = i
+    return out.order, tuple(reps)
+
+
+def test_aut_out_matches_the_quotient_of_the_aut_table():
+    n = 0
+    for entry in CAT.entries:
+        G = entry.group
+        for K, P in posets.normal_commuting_pairs(G):
+            ao = crossed.aut_out(crossed.from_pair(G, K, P))
+            order, reps = _out_by_cayley_table(ao)
+            assert ao.out_reps == reps, (entry.gid, K.elems, P.elems)
+            assert order == len(ao.auts) // len(ao.inn)
+            n += 1
+    assert n == 455
 
 
 def test_theta_realizes_automorphisms_as_sections():
@@ -172,7 +199,7 @@ def test_theta_realizes_automorphisms_as_sections():
     one, full = G.trivial_subgroup(), G.full_subgroup()
     cm = crossed.from_pair(G, one, full)
     ao = crossed.aut_out(cm)
-    assert ao.group.order == 2
+    assert len(ao.auts) == 2
     seen = set()
     for m in ao.auts:
         cls = crossed.theta(G, one, full, m).classify()
