@@ -8,8 +8,9 @@ rely on when searching for smaller linked triples.
 from dataclasses import dataclass
 
 from . import memo
-from .groups import (Group, cyclic, dihedral, direct_product, quaternion,
-                     symmetric)
+from .errors import OrderLimitExceeded, WorkbenchError
+from .groups import (Group, cyclic, dihedral, direct_product, order_cap,
+                     quaternion, symmetric)
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,8 @@ class Catalog:
         return tuple(entry.gid for entry in self.entries)
 
     def restrict(self, max_order: int) -> "Catalog":
+        if max_order < 1:
+            raise WorkbenchError("catalog needs max_order >= 1")
         kept = tuple(e for e in self.entries if e.group.order <= max_order)
         return Catalog(entries=kept,
                        complete_orders=frozenset(
@@ -78,10 +81,6 @@ def catalog_group(gid: str) -> Group:
 
 def build(max_order: int) -> Catalog:
     """Deterministic catalog of the built-in groups up to max_order."""
-    from .errors import OrderLimitExceeded, WorkbenchError
-    from .groups import order_cap
-    if max_order < 1:
-        raise WorkbenchError("catalog needs max_order >= 1")
     if max_order > order_cap():
         raise OrderLimitExceeded(
             f"max_order {max_order} exceeds cap {order_cap()}")

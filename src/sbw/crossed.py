@@ -262,33 +262,49 @@ def link_section(G: Group, K: Subgroup, P: Subgroup,
                  H: Group, L: Subgroup, Q: Subgroup, m: CMorphism):
     """The section of G x H induced by an iso (Q, H/L, i_Q) -> (P, G/K, i_P).
 
-    T is the graph of beta on K/L-cosets, S the graph of alpha.
+    T is the graph of beta on K/L-cosets, S the graph of alpha.  T depends
+    only on (K, L, beta) and S only on (P, Q, alpha), so each is built once
+    per key and kept in the product's ``link_t`` / ``link_s`` memo.  The
+    ``Section`` around them is made on every call, and with it the check
+    that S <= T and that S is normal in T: that check is the certificate
+    that the iso route's answer is a section.
     """
     from .groups import direct_product
     from .sections import Section
 
     ambient = direct_product(G, H)
-    gk = coset_structure(G, G.full_subgroup(), K)
-    hl = coset_structure(H, H.full_subgroup(), L)
-    pview = coset_structure(G, P, G.trivial_subgroup())
-    qview = coset_structure(H, Q, H.trivial_subgroup())
     alpha, beta = m.alpha.images, m.beta.images
     ho = H.order
-    g_cosets, h_cosets = gk.members, hl.members
-    t_elems = [g * ho + h for j, hs in enumerate(h_cosets)
-               for h in hs for g in g_cosets[beta[j]]]
-    # T is generated by a lift of each generator of G, K x 1 and 1 x L;
-    # S, the graph of alpha, by its values on the generators of Q.
-    pre = {c: j for j, c in enumerate(beta)}
-    t_gens = ([x * ho + h_cosets[pre[gk.idx(x)]][0] for x in G.generators()]
-              + [k * ho for k in K.generators()] + list(L.generators()))
+    t_memo = memo.table(ambient, "link_t")
+    t_key = (K.elems, L.elems, beta)
+    T = t_memo.get(t_key)
+    if T is None:
+        # generated by a lift of each generator of G, K x 1 and 1 x L
+        gk = coset_structure(G, G.full_subgroup(), K)
+        hl = coset_structure(H, H.full_subgroup(), L)
+        g_cosets, h_cosets = gk.members, hl.members
+        t_elems = [g * ho + h for j, hs in enumerate(h_cosets)
+                   for h in hs for g in g_cosets[beta[j]]]
+        pre = {c: j for j, c in enumerate(beta)}
+        t_gens = ([x * ho + h_cosets[pre[gk.idx(x)]][0]
+                   for x in G.generators()]
+                  + [k * ho for k in K.generators()] + list(L.generators()))
+        T = t_memo[t_key] = Subgroup(ambient, t_elems, gens=t_gens,
+                                     check=False)
+    s_memo = memo.table(ambient, "link_s")
+    s_key = (P.elems, Q.elems, alpha)
+    S = s_memo.get(s_key)
+    if S is None:
+        # generated by the values of alpha on the generators of Q
+        pview = coset_structure(G, P, G.trivial_subgroup())
+        qview = coset_structure(H, Q, H.trivial_subgroup())
 
-    def graph(q):
-        return pview.rep(alpha[qview.idx(q)]) * ho + q
+        def graph(q):
+            return pview.rep(alpha[qview.idx(q)]) * ho + q
 
-    T = Subgroup(ambient, t_elems, gens=t_gens, check=False)
-    S = Subgroup(ambient, map(graph, Q.elems),
-                 gens=map(graph, Q.generators()), check=False)
+        S = s_memo[s_key] = Subgroup(ambient, map(graph, Q.elems),
+                                     gens=map(graph, Q.generators()),
+                                     check=False)
     return Section(ambient, T, S)
 
 

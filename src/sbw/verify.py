@@ -279,7 +279,7 @@ def suite_mackey(max_order: int = 8, catalog=None, samples: int = 1000) -> list:
         rng = random.Random(_MACKEY_SEED)
         pool = [G for _, G in all_groups]
         n = 0
-        while n < samples:
+        while pool and n < samples:
             G, H, K, L = (rng.choice(pool) for _ in range(4))
             a = gamma.basis_element(
                 G, H, _random_section_class(rng, direct_product(G, H)))
@@ -934,6 +934,8 @@ SUITES = {
 
 
 def run_suites(names=None, max_order: int = 8, catalog=None) -> VerifyReport:
+    if max_order < 1:
+        raise WorkbenchError("catalog needs max_order >= 1")
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]

@@ -310,6 +310,19 @@ def test_catalog_build_rejects_bad_bounds(capsys):
     assert data2["error"]["type"] == "order_limit_exceeded"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--max-order", "0"),
+    ("verify", "--max-order", "-5"),
+    ("seeds", "--max-order", "0"),
+    ("seeds", "--max-order", "-1"),
+])
+def test_max_order_below_one_is_an_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out == ('{"error":{"message":"catalog needs max_order >= 1",'
+                   '"type":"error"}}\n')
+
+
 def test_custom_catalog_flag(capsys, tmp_path):
     out = tmp_path / "cat.json"
     run(capsys, "catalog", "build", "--max-order", "2", "--out", str(out))

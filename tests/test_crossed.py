@@ -3,7 +3,7 @@
 import pytest
 
 from sbw import catalog, crossed, gamma, groups, posets, sections
-from sbw.errors import AxiomFailed, NotInPoset
+from sbw.errors import AxiomFailed, NotInPoset, NotNormal
 
 CAT = catalog.default_catalog()
 
@@ -87,6 +87,59 @@ def test_link_witnesses_lie_in_the_constrained_sections():
                 assert w.section.classify() in \
                     sections.constrained_sections(D8, Q8, K, P, L, Q)
     assert n > 0
+
+
+def fresh_witness_parts(G, K, P, H, L, Q, m):
+    """T and S of the witness section, built from scratch."""
+    gk = groups.coset_structure(G, G.full_subgroup(), K)
+    hl = groups.coset_structure(H, H.full_subgroup(), L)
+    pview = groups.coset_structure(G, P, G.trivial_subgroup())
+    qview = groups.coset_structure(H, Q, H.trivial_subgroup())
+    alpha, beta = m.alpha.images, m.beta.images
+    ho = H.order
+    g_cosets, h_cosets = gk.members, hl.members
+    t_elems = [g * ho + h for j, hs in enumerate(h_cosets)
+               for h in hs for g in g_cosets[beta[j]]]
+    pre = {c: j for j, c in enumerate(beta)}
+    t_gens = ([x * ho + h_cosets[pre[gk.idx(x)]][0] for x in G.generators()]
+              + [k * ho for k in K.generators()] + list(L.generators()))
+
+    def graph(q):
+        return pview.rep(alpha[qview.idx(q)]) * ho + q
+
+    return ((tuple(sorted(t_elems)), tuple(t_gens)),
+            (tuple(sorted(map(graph, Q.elems))),
+             tuple(map(graph, Q.generators()))))
+
+
+@pytest.mark.parametrize("gid,hid", [("D8", "Q8"), ("S3", "C6"),
+                                     ("C2xC2", "C2xC2")])
+def test_link_witnesses_match_a_fresh_construction(gid, hid):
+    G, H = cg(gid), cg(hid)
+    n = 0
+    for K, P in posets.normal_commuting_pairs(G):
+        for L, Q in posets.normal_commuting_pairs(H):
+            w = crossed.linked(G, K, P, H, L, Q)
+            if w is None:
+                continue
+            n += 1
+            T, S = w.section.T, w.section.S
+            assert ((T.elems, T.generators()), (S.elems, S.generators())) \
+                == fresh_witness_parts(G, K, P, H, L, Q, w.morphism)
+            again = crossed.linked(G, K, P, H, L, Q)
+            assert again.section.T is T
+            assert again.section.S is S
+    assert n > 0
+
+
+def test_witness_section_is_checked_on_a_memo_hit(monkeypatch):
+    D8, Q8 = cg("D8"), cg("Q8")
+    Zd, Pd = groups.center(D8), cyclic4_subgroup(D8)
+    Zq, Pq = groups.center(Q8), cyclic4_subgroup(Q8)
+    assert crossed.linked(D8, Zd, Pd, Q8, Zq, Pq) is not None
+    monkeypatch.setattr(sections, "is_normal_in", lambda A, B: False)
+    with pytest.raises(NotNormal):
+        crossed.linked(D8, Zd, Pd, Q8, Zq, Pq)
 
 
 def test_d8_q8_central_pairs_are_linked():

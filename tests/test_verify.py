@@ -68,6 +68,18 @@ def test_every_check_carries_a_tag():
         assert c.suite == "mackey"
 
 
+def test_mackey_checks_pass_on_an_empty_catalog():
+    checks = verify.suite_mackey(max_order=0)
+    assert all(c.ok for c in checks)
+    random_check, = (c for c in checks if c.tag == "mackey-assoc-random")
+    assert random_check.detail == f"0 random triples, seed {verify._MACKEY_SEED}"
+
+
+def test_run_suites_rejects_max_order_below_one():
+    with pytest.raises(WorkbenchError, match="max_order >= 1"):
+        verify.run_suites(["mackey"], max_order=0)
+
+
 def test_unexpected_exception_is_recorded_and_later_checks_run():
     out = []
 
