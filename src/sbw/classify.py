@@ -99,17 +99,6 @@ def covering_basis(G: Group) -> CoveringBasis:
     return basis
 
 
-def check_covering_closure(basis: CoveringBasis):
-    """Products of covering classes are supported on covering classes."""
-    for a in basis.classes:
-        for b in basis.classes:
-            for c in gamma.compose_classes(a, b):
-                if not sections.is_covering(c):
-                    raise AxiomFailed(
-                        "covering product left the covering span")
-    return True
-
-
 # -- linkage partition of the pair poset --------------------------------------
 
 @dataclass

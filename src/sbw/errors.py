@@ -65,10 +65,6 @@ class NotInPoset(WorkbenchError):
     code = "not_in_poset"
 
 
-class PartitionMismatch(WorkbenchError):
-    code = "partition_mismatch"
-
-
 class NotAutomorphism(WorkbenchError):
     code = "not_automorphism"
 

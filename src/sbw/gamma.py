@@ -16,8 +16,10 @@ the two subgroups, and the product class of each ambient, keyed by its
 ``compose_row(a, bs)`` is the memoized batched entry point: it keeps
 each product in a process-wide table keyed by the two classes' ids and
 hands a row's misses to ``class_products`` in one call.
-``compose_classes`` is its one-pair case, and ``compose`` fetches one row
-per class of its left operand.  Callers whose products never repeat
+``compose_classes`` is its one-pair case.  ``compose`` sums, for each
+class of its left operand, that class's row against the right operand's
+numerators, and keeps the row sum in the right operand (see ``compose``).
+Callers whose products never repeat
 (``classify.gamma_group`` and the span oracle) call ``class_products`` and
 keep no pair in that table.  All coefficients are exact fractions.
 """
@@ -51,7 +53,8 @@ from .sections import (
 class GammaElement:
     """An element of Gamma(G, H): a zero-free map from classes to fractions."""
 
-    __slots__ = ("left", "right", "ambient", "coeffs", "_scaled")
+    __slots__ = ("left", "right", "ambient", "coeffs", "_scaled",
+                 "_row_sums")
 
     def __init__(self, left: Group, right: Group, coeffs: dict):
         self.left = left
@@ -65,6 +68,7 @@ class GammaElement:
                 clean[cls] = c
         self.coeffs = clean
         self._scaled = None
+        self._row_sums = None
 
     def scaled(self) -> tuple:
         """(d, classes, numerators): the coefficients as n / d over their
@@ -275,26 +279,60 @@ def compose_classes(a: SectionClass, b: SectionClass) -> dict:
     return compose_row(a, (b,))[0]
 
 
+def _row_sum(a: SectionClass, bs, nums) -> tuple:
+    """Sum of n * (a o b) over the classes b of bs and integers n of nums,
+    as (class, integer) pairs in order of first appearance, zeros dropped."""
+    acc: dict = {}
+    classes: dict = {}
+    for prod, nb in zip(compose_row(a, bs), nums):
+        for cls, mult in prod.items():
+            u = cls.uid
+            if u in acc:
+                acc[u] += nb * mult
+            else:
+                acc[u] = nb * mult
+                classes[u] = cls
+    return tuple([(classes[u], n) for u, n in acc.items() if n])
+
+
 def compose(a: GammaElement, b: GammaElement) -> GammaElement:
-    """Composition Gamma(G,H) x Gamma(H,K) -> Gamma(G,K)."""
+    """Composition Gamma(G,H) x Gamma(H,K) -> Gamma(G,K).
+
+    By bilinearity each class c of a contributes its numerator times the
+    row sum of c o c' over b's classes c' and scaled numerators.  b keeps
+    these rows in its ``_row_sums``, keyed by c's uid, but only when a has
+    more than one class: a one-class a's row is the whole product.  The
+    memo lives and dies with b, which is sound only because ``coeffs`` is
+    never modified after __init__.  A class that cancels within one row is
+    dropped from it, so it may appear later in the result's order.
+    """
     if a.right.digest != b.left.digest:
         raise MiddleMismatch("composition needs a common middle group")
     # Accumulate exact integers over the common denominator da * db, keyed
-    # by class id, one memoized row of class products per class of a.
+    # by class id.
     da, left, left_nums = a.scaled()
     db, right, right_nums = b.scaled()
+    store = len(left) > 1
+    rows = b._row_sums
+    if rows is None:
+        rows = {}
+        if store:
+            b._row_sums = rows
     acc: dict = {}
     classes: dict = {}
     for cls_a, na in zip(left, left_nums):
-        for prod, nb in zip(compose_row(cls_a, right), right_nums):
-            c = na * nb
-            for cls, mult in prod.items():
-                u = cls.uid
-                if u in acc:
-                    acc[u] += c * mult
-                else:
-                    acc[u] = c * mult
-                    classes[u] = cls
+        row = rows.get(cls_a.uid)
+        if row is None:
+            row = _row_sum(cls_a, right, right_nums)
+            if store:
+                rows[cls_a.uid] = row
+        for cls, n in row:
+            u = cls.uid
+            if u in acc:
+                acc[u] += na * n
+            else:
+                acc[u] = na * n
+                classes[u] = cls
     d = da * db
     return GammaElement(a.left, b.right,
                         {classes[u]: Fraction(n, d)

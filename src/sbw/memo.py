@@ -17,6 +17,8 @@ process-wide table) and then read it with a single ``dict.get``.
 The slotted value types (``Subgroup``, ``SectionClass``, ``GammaElement``)
 have no ``_memo`` and keep their few lazy values in slots: a run makes
 10^4 to 10^5 of them, and a dict per instance would be paid on each.
+``GammaElement._row_sums`` is one: the row sums ``gamma.compose`` made
+with the element as its right operand, keyed by left class id.
 """
 
 from collections import defaultdict

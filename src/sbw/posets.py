@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .errors import NotInPoset, PartitionMismatch
+from .errors import NotInPoset
 from .groups import (
     Group,
     commute_elementwise,
@@ -191,31 +191,3 @@ def e_idempotent(G: Group, pair: tuple) -> gamma.GammaElement:
     poset = build_poset(G)
     _require_pair(poset, pair)
     return gamma.e_idempotent(G, pair[0], pair[1])
-
-
-def class_idempotents(G: Group, partition: Sequence[Sequence[tuple]]) -> dict:
-    """Per linkage class, the sums (e_class, f_class) over its members.
-
-    The partition must cover the poset of G exactly once.
-    """
-    poset = build_poset(G)
-    seen: set = set()
-    for block in partition:
-        for pair in block:
-            i = _require_pair(poset, pair)
-            if i in seen:
-                raise PartitionMismatch("blocks overlap")
-            seen.add(i)
-    if len(seen) != len(poset):
-        raise PartitionMismatch("blocks do not cover the poset")
-    out = {}
-    for block in partition:
-        e_sum = gamma.zero(G, G)
-        f_sum = gamma.zero(G, G)
-        for pair in block:
-            e_sum = e_sum + e_idempotent(G, pair)
-            f_sum = f_sum + f_idempotent(G, pair)
-        out[tuple(sorted(block, key=lambda kp: (kp[0].elems, kp[1].elems)))] = \
-            (e_sum, f_sum)
-    return out
-

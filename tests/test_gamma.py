@@ -331,6 +331,36 @@ def test_compose_matches_the_naive_bilinear_sum(data):
             elt.coeffs
 
 
+def test_row_sum_memo_equals_the_bilinear_sum():
+    G, H = cg("S3"), cg("C2")
+    left, right = gamma_basis(G, H), gamma_basis(H, H)
+    B = gamma.GammaElement(H, H, {right[1]: Fraction(3, 2), right[4]: -2,
+                                  right[7]: Fraction(1, 3), right[9]: 5})
+    before = dict(B.coeffs)
+    a1 = gamma.GammaElement(G, H, {cls: Fraction(i + 1, 2 * i + 3)
+                                   for i, cls in enumerate(left[2:8])})
+    # The same classes as a1 inserted in reverse order, so a row memo keyed
+    # by position instead of class id would hand a3 a1's rows.
+    a3 = gamma.GammaElement(G, H, {cls: a1.coeffs[cls]
+                                   for cls in reversed(list(a1.coeffs))})
+    a2 = gamma.GammaElement(H, H, {right[0]: 2, right[5]: Fraction(-1, 4),
+                                   right[9]: 1})
+    one = gamma.basis_element(H, H, right[3], -3)
+    operands = (a1, a2, a3, one)
+    for _ in range(2):
+        for a in operands:
+            assert gamma.compose(a, B).coeffs == naive_compose(a, B)
+    assert B.coeffs == before
+    # Rows are stored for the multi-class operands only.
+    stored = {cls.uid for a in (a1, a2) for cls in a.coeffs}
+    assert set(B._row_sums) == stored
+    fresh = B + gamma.zero(H, H)
+    assert fresh is not B and fresh._row_sums is None
+    for a in operands:
+        assert gamma.compose(a, fresh).coeffs == naive_compose(a, B)
+    assert set(fresh._row_sums) == stored
+
+
 def test_class_product_matches_the_memoized_product_on_a_gamma_set():
     G = cg("D8")
     K = G.subgroup(groups.center(G).elems)
