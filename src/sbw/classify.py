@@ -431,14 +431,24 @@ class EssentialBlock:
 
 @dataclass
 class EssentialReport:
+    """The essential quotient of G: a verdict per linkage class.
+
+    ``covering_dim`` is computed on first read (``covering_basis`` is
+    memoized); of the CLI only ``sbw essential`` reads it.  No verdict or
+    seed row needs the basis; ``matrix_decomposition`` and the idempotents
+    suite build it themselves.
+    """
     group: Group
     statuses: dict
     partition: LinkagePartition
-    covering_dim: int
     blocks: tuple
     essential_dim: object     # int, or (lo, hi) with Undetermined blocks
     simple_count: object
     notes: str
+
+    @property
+    def covering_dim(self) -> int:
+        return len(covering_basis(self.group).classes)
 
 
 _READING_NOTE = (
@@ -453,7 +463,6 @@ def essential_report(G: Group, catalog=None) -> EssentialReport:
     key = tuple((gid, H.digest) for gid, H in groups)
     if key in cache:
         return cache[key]
-    basis = covering_basis(G)
     part = linkage_partition(G)
     statuses = {pair: reduced_status(G, pair, catalog)
                 for pair in part.pairs}
@@ -489,8 +498,7 @@ def essential_report(G: Group, catalog=None) -> EssentialReport:
             hi += dim
             s_hi += irr
     report = EssentialReport(
-        group=G, statuses=statuses, partition=part,
-        covering_dim=len(basis.classes), blocks=tuple(blocks),
+        group=G, statuses=statuses, partition=part, blocks=tuple(blocks),
         essential_dim=lo if lo == hi else (lo, hi),
         simple_count=s_lo if s_lo == s_hi else (s_lo, s_hi),
         notes=_READING_NOTE)
@@ -499,6 +507,7 @@ def essential_report(G: Group, catalog=None) -> EssentialReport:
 
 
 def _predicted_from_report(report: EssentialReport) -> tuple:
+    """Non-covering classes, and covering ones in non-reduced linkage."""
     verdict_of = {}
     for block in report.blocks:
         if block.verdict == "Undetermined":
@@ -515,16 +524,6 @@ def _predicted_from_report(report: EssentialReport) -> tuple:
         elif verdict_of[sections.middle_left(cls)] == "NotReduced":
             predicted.append(cls)
     return tuple(predicted)
-
-
-def predicted_ideal_classes(G: Group, catalog=None) -> tuple:
-    """Classes of G x G predicted to span the ideal of factorizable maps.
-
-    A class is predicted in the ideal when it is not covering, or when it is
-    covering but its middle pair lies in a non-reduced linkage class.
-    Requires every linkage class to have a determined status.
-    """
-    return _predicted_from_report(essential_report(G, catalog))
 
 
 @dataclass

@@ -215,6 +215,37 @@ def test_essential_reports_match_frozen_values():
             assert b.verdict in ("Reduced", "NotReduced")
 
 
+def test_essential_covering_dims_match_census_and_block_sum():
+    # covering_dim is read lazily; it must still agree with the frozen
+    # census and with the sum of n^2 |Gamma| over the linkage classes.
+    for gid in CAT.ids():
+        rep = classify.essential_report(cg(gid), CAT)
+        assert rep.covering_dim == COVERING_DIMS[gid], gid
+        assert rep.covering_dim == sum(b.dim for b in rep.blocks), gid
+
+
+def test_essential_report_and_seeds_never_build_the_covering_basis(
+        monkeypatch):
+    # Fresh groups, so no memo already holds a report or a basis.
+    fresh = catalog.Catalog(
+        entries=tuple(catalog.CatalogEntry(gid, G, gid) for gid, G in (
+            ("C1", groups.cyclic(1)), ("C2", groups.cyclic(2)),
+            ("C3", groups.cyclic(3)), ("C4", groups.cyclic(4)),
+            ("S3", groups.symmetric(3)))),
+        complete_orders=frozenset(range(1, 4)))
+
+    def refuse(G):
+        raise AssertionError(f"covering basis of {G.name} was built")
+
+    monkeypatch.setattr(classify, "covering_basis", refuse)
+    reports = {e.gid: classify.essential_report(e.group, fresh)
+               for e in fresh.entries}
+    assert classify.seeds(fresh).rows
+    monkeypatch.undo()
+    for gid, rep in reports.items():
+        assert rep.covering_dim == COVERING_DIMS[gid], gid
+
+
 def test_ideal_span_oracle_matches_frozen_values():
     for gid, expected in ORACLE.items():
         rep = classify.ideal_span_oracle(cg(gid), CAT)
@@ -229,9 +260,20 @@ def test_ideal_span_oracle_is_gated_by_order():
         classify.ideal_span_oracle(cg("C8"), CAT)
 
 
+def predicted_ideal_classes(G, catalog=None) -> tuple:
+    """Classes of G x G predicted to span the ideal of factorizable maps.
+
+    A class is predicted in the ideal when it is not covering, or when it is
+    covering but its middle pair lies in a non-reduced linkage class.
+    Requires every linkage class to have a determined status.
+    """
+    return classify._predicted_from_report(
+        classify.essential_report(G, catalog))
+
+
 def test_predicted_ideal_contains_every_noncovering_class():
     C3 = cg("C3")
-    predicted = set(classify.predicted_ideal_classes(C3, CAT))
+    predicted = set(predicted_ideal_classes(C3, CAT))
     assert len(predicted) == 9
     amb = groups.direct_product(C3, C3)
     for cls in sections.enumerate_sections(amb):
