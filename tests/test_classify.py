@@ -258,7 +258,7 @@ def test_ideal_span_oracle_is_gated_by_order():
         classify.ideal_span_oracle(cg("C8"), CAT)
 
 
-def predicted_ideal_classes(G, catalog=None) -> tuple:
+def predicted_ideal_classes(G, cat) -> tuple:
     """Classes of G x G predicted to span the ideal of factorizable maps.
 
     A class is predicted in the ideal when it is not covering, or when it is
@@ -266,7 +266,7 @@ def predicted_ideal_classes(G, catalog=None) -> tuple:
     Requires every linkage class to have a determined status.
     """
     return classify._predicted_from_report(
-        classify.essential_report(G, catalog))
+        classify.essential_report(G, cat))
 
 
 def test_predicted_ideal_contains_every_noncovering_class():
