@@ -75,10 +75,6 @@ def default_catalog() -> Catalog:
     return cache[None]
 
 
-def catalog_group(gid: str) -> Group:
-    return default_catalog().by_id(gid).group
-
-
 def build(max_order: int) -> Catalog:
     """Deterministic catalog of the built-in groups up to max_order."""
     if max_order > order_cap():

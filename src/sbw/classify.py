@@ -186,6 +186,21 @@ class GammaGroup:
 
 
 def gamma_group(G: Group, K: Subgroup, P: Subgroup) -> GammaGroup:
+    """The group Gamma_(G,K,P), its table certified row by row.
+
+    Walking the classes in index order, each class no row reaches yet
+    (e first) is a generator g: its row g o b comes from the composition
+    kernel, and every entry is checked to be one class of the set with
+    multiplicity s = |G:P|.  Every other row is derived by associativity
+    of biset composition: for a class c with a known row, the row of
+    g o c is b -> g o (c o b), that is row_g[row_c[b]].  Derived entries
+    need no check: if c o b = s [d] and g o d = s [f], then with
+    g o c = s [h], s (h o b) = g o (c o b) = s^2 [f], so h o b = s [f].
+    ``Group`` then validates the whole table (Latin square, identity at
+    0, associativity), which also cross-checks the generator rows;
+    opposite classes must be the group inverses, and |Gamma| must equal
+    the order of Out of the crossed module.
+    """
     cache = memo.table(G, "gamma_group")
     key = (K.elems, P.elems)
     if key in cache:
@@ -200,16 +215,32 @@ def gamma_group(G: Group, K: Subgroup, P: Subgroup) -> GammaGroup:
     index = {c: i for i, c in enumerate(classes)}
     scale = G.order // P.order
     n = len(classes)
-    table = [[0] * n for _ in range(n)]
+    table = [None] * n
+    gens = []
     for i, a in enumerate(classes):
-        for j, prod in enumerate(gamma.class_products(a, classes)):
+        if table[i] is not None:
+            continue
+        row = []
+        for prod in gamma.class_products(a, classes):
             if len(prod) != 1:
                 raise AxiomFailed("Gamma product is not a single class")
             (c, mult), = prod.items()
             if mult != scale or c not in index:
                 raise AxiomFailed("Gamma product has the wrong multiplicity "
                                   "or left the class set")
-            table[i][j] = index[c]
+            row.append(index[c])
+        table[i] = row
+        gens.append(row)
+        # Each (generator, reached class) pair is closed exactly once: the
+        # new generator against every class reached so far, and each newly
+        # reached class against every generator.
+        todo = [(row, c) for c in range(n) if table[c] is not None]
+        while todo:
+            g, c = todo.pop()
+            d = g[c]
+            if table[d] is None:
+                table[d] = [g[x] for x in table[c]]
+                todo.extend((h, d) for h in gens)
     group = Group(table, name=f"Gamma({G.name},{len(K.elems)},{len(P.elems)})")
     for i, a in enumerate(classes):
         if group.inv(i) != index[sections.opposite_class(a)]:

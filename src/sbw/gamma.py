@@ -21,7 +21,9 @@ class of its left operand, that class's row against the right operand's
 numerators, and keeps the row sum in the right operand (see ``compose``).
 Callers whose products never repeat
 (``classify.gamma_group`` and the span oracle) call ``class_products`` and
-keep no pair in that table.  All coefficients are exact fractions.
+keep no pair in that table; ``gamma_group`` composes only the rows of e
+and of its generators and derives the rest by associativity.  All
+coefficients are exact fractions.
 """
 
 from __future__ import annotations

@@ -127,9 +127,6 @@ class Group:
             cache[g] = perm
         return perm
 
-    def element_order(self, a: int) -> int:
-        return self.element_orders()[a]
-
     @memo.once
     def element_orders(self) -> tuple:
         orders = []

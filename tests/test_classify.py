@@ -7,7 +7,7 @@ They guard against silent regressions in the canonical-form machinery.
 
 import pytest
 
-from sbw import catalog, classify, crossed, gamma, groups, sections
+from sbw import catalog, classify, crossed, gamma, groups, posets, sections
 from sbw.errors import AxiomFailed, NotInPoset
 
 CAT = catalog.default_catalog()
@@ -170,6 +170,59 @@ def test_gamma_group_matches_out_of_the_crossed_module():
     assert gg.order == len(ao.out_reps)
 
 
+def full_gamma_table(G, K, P):
+    """Classes and the n x n table of Gamma_(G,K,P), every product composed."""
+    found = sections.constrained_sections(G, G, K, P, K, P)
+    e = gamma.e_class(G, K, P)
+    classes = (e,) + tuple(c for c in found if c != e)
+    index = {c: i for i, c in enumerate(classes)}
+    scale = G.order // P.order
+    table = []
+    for a in classes:
+        row = []
+        for prod in gamma.class_products(a, classes):
+            (c, mult), = prod.items()
+            assert mult == scale and c in index
+            row.append(index[c])
+        table.append(tuple(row))
+    return classes, tuple(table)
+
+
+def test_gamma_tables_match_the_full_product_table():
+    count = 0
+    for entry in CAT.entries:
+        G = entry.group
+        for K, P in posets.normal_commuting_pairs(G):
+            gg = classify.gamma_group(G, K, P)
+            classes, table = full_gamma_table(G, K, P)
+            assert gg.classes == classes, (entry.gid, K.elems, P.elems)
+            assert gg.group.table == table, (entry.gid, K.elems, P.elems)
+            count += 1
+    assert count == 455
+
+
+@pytest.mark.parametrize("fault", ["doubled", "outside"])
+def test_gamma_group_checks_every_generator_row(monkeypatch, fault):
+    V4 = groups.dihedral(4)     # fresh, so no gamma_group memo holds it
+    one, full = V4.trivial_subgroup(), V4.full_subgroup()
+    outside = gamma.e_class(V4, full, one)
+    real = gamma.class_products
+    calls = []
+
+    def faulty(a, bs):
+        prods = real(a, bs)
+        calls.append(a)
+        if len(calls) == 2:     # the first generator after e
+            (c, mult), = prods[-1].items()
+            prods[-1] = {c: 2 * mult} if fault == "doubled" else {outside: mult}
+        return prods
+
+    monkeypatch.setattr(classify.gamma, "class_products", faulty)
+    with pytest.raises(AxiomFailed):
+        classify.gamma_group(V4, one, full)
+    assert len(calls) == 2
+
+
 def test_gamma_group_rejects_noncommuting_pair():
     G = cg("S3")
     A3 = G.subgroup((0, 3, 4))
@@ -284,10 +337,10 @@ def test_transport_between_d8_and_q8():
     Zd, Zq = groups.center(D8), groups.center(Q8)
     Pd = next(H for H in groups.subgroup_lattice(D8).all
               if H.order == 4
-              and max(D8.element_order(x) for x in H.elems) == 4)
+              and max(D8.element_orders()[x] for x in H.elems) == 4)
     Pq = next(H for H in groups.subgroup_lattice(Q8).all
               if H.order == 4
-              and max(Q8.element_order(x) for x in H.elems) == 4)
+              and max(Q8.element_orders()[x] for x in H.elems) == 4)
     check = classify.transport_check((D8, Zd, Pd), (Q8, Zq, Pq))
     assert check["ok"]
     assert check["bijective"] and check["identity"]

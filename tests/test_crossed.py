@@ -16,7 +16,7 @@ def cyclic4_subgroup(G):
     lat = groups.subgroup_lattice(G)
     return next(H for H in lat.all
                 if H.order == 4
-                and max(G.element_order(x) for x in H.elems) == 4)
+                and max(G.element_orders()[x] for x in H.elems) == 4)
 
 
 def test_from_pair_shapes():

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbw.catalog import catalog_group as cg
+from sbw.catalog import default_catalog
 from sbw.errors import (MixedParents, NoIdentity, NonAssociative, NotClosed,
                         NotNormal, NotSubgroup, OrderLimitExceeded)
 from sbw.groups import (Group, automorphism_count, conjugacy_classes, cyclic,
@@ -14,6 +14,11 @@ from sbw.groups import (Group, automorphism_count, conjugacy_classes, cyclic,
                         generated_subgroup, group_from_perm_gens,
                         normal_subgroups, product_set, quaternion, quotient,
                         subgroup_lattice, symmetric)
+
+
+def cg(gid):
+    return default_catalog().by_id(gid).group
+
 
 ALL_IDS = ("C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "C7", "C8",
            "C4xC2", "C2xC2xC2", "D8", "Q8")

@@ -5,8 +5,13 @@ from fractions import Fraction
 import pytest
 
 from sbw import gamma, posets
-from sbw.catalog import catalog_group as cg
+from sbw.catalog import default_catalog
 from sbw.errors import NotInPoset
+
+
+def cg(gid):
+    return default_catalog().by_id(gid).group
+
 
 PAIR_COUNTS = {
     "C1": 1, "C2": 4, "C3": 4, "C4": 9, "C2xC2": 25, "C5": 4, "C6": 16,

@@ -3,9 +3,14 @@
 import pytest
 
 from sbw import posets, sections
-from sbw.catalog import catalog_group as cg
+from sbw.catalog import default_catalog
 from sbw.errors import ConditionViolated, NotNormal, NotSubgroup
 from sbw.groups import direct_product, generated_subgroup
+
+
+def cg(gid):
+    return default_catalog().by_id(gid).group
+
 
 SECTION_COUNTS = {
     "C1": 1, "C2": 3, "C3": 3, "C4": 6, "C2xC2": 12, "C5": 3, "C6": 9,
