@@ -197,7 +197,8 @@ def gamma_group(G: Group, K: Subgroup, P: Subgroup) -> GammaGroup:
     need no check: if c o b = s [d] and g o d = s [f], then with
     g o c = s [h], s (h o b) = g o (c o b) = s^2 [f], so h o b = s [f].
     ``Group`` then validates the whole table (Latin square, identity at
-    0, associativity), which also cross-checks the generator rows;
+    0, and associativity by Light's test over a generating set, see
+    ``groups._validate_table``), which also cross-checks the generator rows;
     opposite classes must be the group inverses, and |Gamma| must equal
     the order of Out of the crossed module.
     """

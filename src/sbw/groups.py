@@ -15,10 +15,10 @@ import hashlib
 import itertools
 import math
 import os
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from . import memo
 from .errors import (
@@ -49,6 +49,20 @@ def order_cap() -> int:
 
 
 def _validate_table(rows: tuple, max_order: int) -> None:
+    """Raise unless ``rows`` is the table of a group with identity 0.
+
+    The cheap checks come first (size, entry range, identity, Latin
+    square).  Associativity is then certified by Light's test: S is grown
+    greedily in index order, each element that right multiplication by
+    the S so far does not reach from 0 joining it, and (x*s)*y = x*(s*y)
+    is checked for every s in S and all x, y, one row at a time.  The
+    elements s passing that check are closed under products:
+    (x*(st))*y = ((xs)t)y = (xs)(ty) = x(s(ty)) = x((st)y).  They contain
+    S, which generates the table, so every element passes and the table
+    is associative (Clifford and Preston, *The Algebraic Theory of
+    Semigroups* I, 1961).  On a failure the full scan names the least
+    failing left factor.
+    """
     n = len(rows)
     if n == 0:
         raise NoIdentity("empty multiplication table")
@@ -57,19 +71,24 @@ def _validate_table(rows: tuple, max_order: int) -> None:
     for row in rows:
         if len(row) != n:
             raise NotClosed("multiplication table is not square")
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= n:
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
         raise NotClosed("table entry outside the element range")
-    idr = np.arange(n)
-    if not (np.array_equal(arr[0], idr) and np.array_equal(arr[:, 0], idr)):
+    idr = tuple(range(n))
+    if rows[0] != idr or tuple(row[0] for row in rows) != idr:
         raise NoIdentity("index 0 is not a two-sided identity")
-    if not np.array_equal(np.sort(arr, axis=1), np.tile(idr, (n, 1))):
+    if any(len(set(row)) != n for row in rows):
         raise NotClosed("some row is not a permutation")
-    if not np.array_equal(np.sort(arr, axis=0), np.tile(idr[:, None], (1, n))):
+    if any(len(set(col)) != n for col in zip(*rows)):
         raise NotClosed("some column is not a permutation")
-    for a in range(n):
-        if not np.array_equal(arr[arr[a]], arr[a][arr]):
-            raise NonAssociative(f"associativity fails for left factor {a}")
+    # n >= 2 whenever S is not empty, so each itemgetter returns a tuple.
+    for s in _least_generators(rows, idr):
+        after_s = itemgetter(*rows[s])
+        if any(rows[tx[s]] != after_s(tx) for tx in rows):
+            getters = [itemgetter(*row) for row in rows]
+            for a, ta in enumerate(rows):
+                if any(rows[ta[b]] != getters[b](ta) for b in idr):
+                    raise NonAssociative(
+                        f"associativity fails for left factor {a}")
 
 
 class Group:
@@ -84,7 +103,7 @@ class Group:
     def __init__(self, table, name: str = "G", perm_gens=None, factors=None,
                  gens=None, spec=None, max_order: Optional[int] = None,
                  validate: bool = True):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = tuple(tuple(map(int, row)) for row in table)
         cap = order_cap() if max_order is None else max_order
         if validate:
             _validate_table(rows, cap)
@@ -100,8 +119,8 @@ class Group:
                                else (factors[0].digest, factors[1].digest))
         self.gens = gens
         self.spec = spec
-        arr = np.asarray(rows, dtype=np.uint16)
-        self.digest = hashlib.blake2b(arr.tobytes(), digest_size=12).hexdigest()
+        cells = array("H", itertools.chain.from_iterable(rows)).tobytes()
+        self.digest = hashlib.blake2b(cells, digest_size=12).hexdigest()
         self._inv = tuple(int(row.index(0)) for row in rows)
         self._memo = memo.tables()
 
@@ -147,7 +166,7 @@ class Group:
     @memo.once
     def generators(self) -> tuple:
         """A small generating sequence, grown by least element not yet generated."""
-        return _least_generators(self, range(self.order))
+        return _least_generators(self.table, range(self.order))
 
     # -- subgroup shorthands ----------------------------------------------
     def subgroup(self, elems: Iterable[int], gens=None, check: bool = True) -> "Subgroup":
@@ -188,7 +207,11 @@ class Group:
 
 def closure_set(G: Group, gens: Sequence[int]) -> set:
     """Elements of the subgroup generated by ``gens``."""
-    table = G.table
+    return _closure(G.table, gens)
+
+
+def _closure(table: tuple, gens: Sequence[int]) -> set:
+    """Elements reached from 0 by right multiplication by ``gens``."""
     elems = {0}
     frontier = [0]
     while frontier:
@@ -204,14 +227,14 @@ def closure_set(G: Group, gens: Sequence[int]) -> set:
     return elems
 
 
-def _least_generators(G: Group, elems: Sequence[int]) -> tuple:
+def _least_generators(table: tuple, elems: Sequence[int]) -> tuple:
     """Generators of the subgroup on ``elems``, each the least element not
     yet generated."""
     gens: list = []
     closure = {0}
     while len(closure) < len(elems):
         gens.append(min(x for x in elems if x not in closure))
-        closure = closure_set(G, gens)
+        closure = _closure(table, gens)
     return tuple(gens)
 
 
@@ -250,7 +273,7 @@ class Subgroup:
         if self.gens is not None:
             return self.gens
         if self._gen_cache is None:
-            self._gen_cache = _least_generators(self.parent, self.elems)
+            self._gen_cache = _least_generators(self.parent.table, self.elems)
         return self._gen_cache
 
     def contains(self, other: "Subgroup") -> bool:

@@ -323,6 +323,26 @@ def test_max_order_below_one_is_an_error(capsys, argv):
                    '"type":"error"}}\n')
 
 
+@pytest.mark.parametrize("entry", ["100000000000000000000000000",
+                                   "-100000000000000000000000000"])
+def test_huge_table_entry_is_outside_the_element_range(capsys, entry):
+    spec = f'{{"table":[[0,1],[1,{entry}]]}}'
+    code, out = run(capsys, "group", "info", "--group", spec)
+    assert code == 1
+    assert out == ('{"error":{"message":"table entry outside the element '
+                   'range","type":"not_closed"}}\n')
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(sbw.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sbw.cli; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_custom_catalog_flag(capsys, tmp_path):
     out = tmp_path / "cat.json"
     run(capsys, "catalog", "build", "--max-order", "2", "--out", str(out))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sbw.catalog import default_catalog
+from sbw.classify import gamma_group
 from sbw.errors import (MixedParents, NoIdentity, NonAssociative, NotClosed,
                         NotNormal, NotSubgroup, OrderLimitExceeded)
 from sbw.groups import (Group, automorphism_count, conjugacy_classes, cyclic,
@@ -66,6 +67,87 @@ def test_table_must_be_a_group():
         Group([[0, 1], [1, 5]])
     with pytest.raises(NotClosed):
         Group([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cols = [set(range(n)) - {j} for j in range(n)]
+    free = [set(range(n)) - {i} for i in range(n)]
+
+    def fill(cell):
+        if cell == (n - 1) * (n - 1):
+            yield [row[:] for row in rows]
+            return
+        i, j = divmod(cell, n - 1)
+        i, j = i + 1, j + 1
+        for x in sorted(free[i] & cols[j]):
+            rows[i][j] = x
+            free[i].discard(x)
+            cols[j].discard(x)
+            yield from fill(cell + 1)
+            free[i].add(x)
+            cols[j].add(x)
+        rows[i][j] = None
+
+    yield from fill(0)
+
+
+def _least_failing_left_factor(t):
+    n = len(t)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    return a
+    return None
+
+
+@pytest.mark.parametrize("n, squares, groups", [(4, 4, 4), (5, 56, 6),
+                                                (6, 9408, 80)])
+def test_validator_accepts_exactly_the_associative_latin_squares(n, squares,
+                                                                   groups):
+    # Light's test checks only the generator columns; a cubic scan over
+    # every reduced Latin square of the order is the reference.
+    seen = accepted = 0
+    for table in _reduced_latin_squares(n):
+        seen += 1
+        bad = _least_failing_left_factor(table)
+        if bad is None:
+            assert Group(table).order == n
+            accepted += 1
+        else:
+            with pytest.raises(NonAssociative) as err:
+                Group(table)
+            assert str(err.value) == \
+                f"associativity fails for left factor {bad}"
+    assert (seen, accepted) == (squares, groups)
+
+
+# Digests computed when tables were packed by numpy as uint16.
+CATALOG_DIGESTS = {
+    "C1": "4f14dbe1da4a8f3701abf73b",
+    "C2": "71e4f78da75eaf3ac2e5721b",
+    "C3": "356ce4e56b2e580ec374bbf5",
+    "C2xC2": "64ca731682593464a254f1ed",
+    "C4": "d02f7c8ff148fd5dbff57149",
+    "C5": "741f1f0a9f67f0bca8e5179e",
+    "C6": "aaf9e1f8c67f17a6516c12f7",
+    "S3": "729f22a35f4ec99be7c35ae3",
+    "C7": "b25abdef5a4f8b3c35d6b852",
+    "C2xC2xC2": "517e417c5de90a87ffb5f290",
+    "C4xC2": "d8c2d73e667cbf99f7a50e24",
+    "C8": "b496226ba33d05e246c5e1a4",
+    "D8": "c0d0311627c4403bd5c74e3c",
+    "Q8": "449bbb54a53d205967db98e6",
+}
+
+
+def test_table_digests_are_pinned():
+    assert {gid: cg(gid).digest for gid in ALL_IDS} == CATALOG_DIGESTS
+    G = cg("C2xC2xC2")
+    gamma = gamma_group(G, G.trivial_subgroup(), G.full_subgroup()).group
+    assert (gamma.order, gamma.digest) == (168, "8699588dde20bf614056e515")
 
 
 def test_order_cap_blocks_large_tables(monkeypatch):
