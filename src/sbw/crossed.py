@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import memo
+from . import memo, sections
 from .errors import AxiomFailed, NotAutomorphism, NotInPoset
 from .groups import (
     Group,
@@ -22,6 +22,7 @@ from .groups import (
     Subgroup,
     commute_elementwise,
     coset_structure,
+    direct_product,
     isomorphisms,
 )
 
@@ -269,9 +270,6 @@ def link_section(G: Group, K: Subgroup, P: Subgroup,
     that S <= T and that S is normal in T: that check is the certificate
     that the iso route's answer is a section.
     """
-    from .groups import direct_product
-    from .sections import Section
-
     ambient = direct_product(G, H)
     alpha, beta = m.alpha.images, m.beta.images
     ho = H.order
@@ -305,7 +303,7 @@ def link_section(G: Group, K: Subgroup, P: Subgroup,
         S = s_memo[s_key] = Subgroup(ambient, map(graph, Q.elems),
                                      gens=map(graph, Q.generators()),
                                      check=False)
-    return Section(ambient, T, S)
+    return sections.Section(ambient, T, S)
 
 
 def theta(G: Group, K: Subgroup, P: Subgroup, m: CMorphism):

@@ -14,8 +14,9 @@ cosets of each middle group as (conjugation perm, count) pairs, keyed by
 the two subgroups, and the product class of each ambient, keyed by its
 (T rows, S rows).  ``class_product`` is the kernel on one pair.
 ``compose_row(a, bs)`` is the memoized batched entry point: it keeps
-each product in a process-wide table keyed by the two classes' ids and
-hands a row's misses to ``class_products`` in one call.
+each product in a process-wide table, left class id -> {right class id:
+product}, so a row costs one dict fetch and an int-keyed ``get`` per b,
+and hands a row's misses to ``class_products`` in one call.
 ``compose_classes`` is its one-pair case.  ``compose`` sums, for each
 class of its left operand, that class's row against the right operand's
 numerators, and keeps the row sum in the right operand (see ``compose``).
@@ -23,13 +24,14 @@ Callers whose products never repeat
 (``classify.gamma_group`` and the span oracle) call ``class_products`` and
 keep no pair in that table; ``gamma_group`` composes only the rows of e
 and of its generators and derives the rest by associativity.  All
-coefficients are exact fractions.
+coefficients are exact: a ``GammaElement`` holds integer numerators over
+one denominator, and ``compose`` builds no ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import MiddleMismatch, NotInPoset, NotIso, SpaceMismatch
 from .groups import (
@@ -53,63 +55,90 @@ from .sections import (
 
 
 class GammaElement:
-    """An element of Gamma(G, H): a zero-free map from classes to fractions."""
+    """An element of Gamma(G, H): integer numerators over one denominator.
 
-    __slots__ = ("left", "right", "ambient", "coeffs", "_scaled",
-                 "_row_sums")
+    The coefficient of a class is nums[cls] / den: ``den`` is a positive
+    int, ``nums`` maps the support, in order of first appearance, to
+    nonzero ints, and gcd(den, *nums.values()) == 1, so den is the lcm of
+    the reduced denominators.  ``coeffs``, the same map with ``Fraction``
+    values, is built on first read.  None of the three may be modified:
+    ``compose`` keeps row sums in its right operand on that promise.
+    """
+
+    __slots__ = ("left", "right", "den", "nums", "_coeffs", "_row_sums")
 
     def __init__(self, left: Group, right: Group, coeffs: dict):
+        direct_product(left, right)  # the ambient must fit the order cap
+        qs = [(cls, c if c.__class__ is Fraction else Fraction(c))
+              for cls, c in coeffs.items()]
+        d = lcm(*(c.denominator for _, c in qs))
+        self._set(left, right, d, {cls: c.numerator * (d // c.denominator)
+                                   for cls, c in qs if c})
+
+    def _set(self, left: Group, right: Group, den: int, nums: dict):
+        """Fill the fields with sum n/den * cls over nums (den > 0, no n
+        zero), divided through by the gcd; returns self."""
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {cls: n // g for cls, n in nums.items()}
         self.left = left
         self.right = right
-        self.ambient = direct_product(left, right)
-        clean = {}
-        for cls, c in coeffs.items():
-            if c.__class__ is not Fraction:
-                c = Fraction(c)
-            if c:
-                clean[cls] = c
-        self.coeffs = clean
-        self._scaled = None
+        self.den = den
+        self.nums = nums
+        self._coeffs = None
         self._row_sums = None
+        return self
 
-    def scaled(self) -> tuple:
-        """(d, classes, numerators): the coefficients as n / d over their
-        lcm d, built once; ``coeffs`` is never modified after __init__."""
-        if self._scaled is None:
-            d = lcm(*(c.denominator for c in self.coeffs.values()))
-            self._scaled = (d, tuple(self.coeffs),
-                            tuple([c.numerator * (d // c.denominator)
-                                   for c in self.coeffs.values()]))
-        return self._scaled
+    @property
+    def coeffs(self) -> dict:
+        """class -> Fraction, in the order of ``nums``; do not modify it."""
+        if self._coeffs is None:
+            d = self.den
+            self._coeffs = {cls: Fraction(n, d)
+                            for cls, n in self.nums.items()}
+        return self._coeffs
+
+    @property
+    def ambient(self) -> Group:
+        return direct_product(self.left, self.right)
 
     def space(self) -> tuple:
         return (self.left.digest, self.right.digest)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def support(self) -> list:
-        return sorted(self.coeffs)
+        return sorted(self.nums)
 
-    def __add__(self, other: "GammaElement") -> "GammaElement":
+    def _plus(self, other, sign: int):
         if not isinstance(other, GammaElement):
             return NotImplemented
         if self.space() != other.space():
             raise SpaceMismatch("cannot add elements of different modules")
-        coeffs = dict(self.coeffs)
-        for cls, c in other.coeffs.items():
-            coeffs[cls] = coeffs.get(cls, 0) + c
-        return GammaElement(self.left, self.right, coeffs)
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, sign * (d // other.den)
+        nums = {cls: n * fa for cls, n in self.nums.items()}
+        for cls, n in other.nums.items():
+            nums[cls] = nums.get(cls, 0) + n * fb
+        return _element(self.left, self.right, d,
+                        {cls: n for cls, n in nums.items() if n})
+
+    def __add__(self, other: "GammaElement") -> "GammaElement":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "GammaElement") -> "GammaElement":
-        return self + (-1) * other
+        return self._plus(other, -1)
 
     def __mul__(self, scalar) -> "GammaElement":
         if isinstance(scalar, GammaElement):
             return NotImplemented
         s = Fraction(scalar)
-        return GammaElement(self.left, self.right,
-                            {cls: c * s for cls, c in self.coeffs.items()})
+        m = s.numerator
+        return _element(self.left, self.right, self.den * s.denominator,
+                        {cls: n * m for cls, n in self.nums.items()}
+                        if m else {})
 
     __rmul__ = __mul__
 
@@ -119,14 +148,20 @@ class GammaElement:
     def __eq__(self, other):
         return (isinstance(other, GammaElement)
                 and self.space() == other.space()
-                and self.coeffs == other.coeffs)
+                and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.space(), frozenset(self.coeffs.items())))
+        return hash((self.space(), self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
-        n = len(self.coeffs)
+        n = len(self.nums)
         return f"GammaElement({self.left.name}x{self.right.name}, {n} classes)"
+
+
+def _element(left: Group, right: Group, den: int, nums: dict) -> GammaElement:
+    """The element sum n/den * cls over nums, in lowest terms."""
+    return GammaElement.__new__(GammaElement)._set(left, right, den, nums)
 
 
 def zero(G: Group, H: Group) -> GammaElement:
@@ -145,7 +180,10 @@ def identity_element(G: Group) -> GammaElement:
     return basis_element(G, G, canonical_section(ambient, diag, diag))
 
 
+# left class uid -> {right class uid: product}; _NO_ROW, never stored or
+# modified, stands in for a left class with no row yet.
 _CLASS_COMPOSE = memo.table(None, "compose_classes")
+_NO_ROW: dict = {}
 # Few distinct products recur across many class pairs, so equal results
 # share one dict: product items -> that dict.
 _PRODUCTS = memo.table(None, "shared_products")
@@ -254,28 +292,27 @@ def class_product(a: SectionClass, b: SectionClass) -> dict:
 def compose_row(a: SectionClass, bs) -> list:
     """``[class_product(a, b) for b in bs]``, memoized by the classes' ids.
 
-    The pairs missing from the memo go to ``class_products`` in one batch,
-    and are stored only once the whole batch has succeeded.  The returned
-    dicts are shared by the memo and by equal products; callers must not
-    modify them.
+    The memo maps a's uid to a dict from b's uid to the product.  The pairs
+    missing from it go to ``class_products`` in one batch, and are stored
+    only once the whole batch has succeeded.  The returned dicts are shared
+    by the memo and by equal products; callers must not modify them.
     """
-    ua = a.uid
-    memo_get = _CLASS_COMPOSE.get
-    row = [memo_get((ua, b.uid)) for b in bs]
+    known = _CLASS_COMPOSE.get(a.uid, _NO_ROW)
+    get = known.get
+    row = [get(b.uid) for b in bs]
     if None not in row:
         return row
     misses = {b.uid: b for b, prod in zip(bs, row) if prod is None}
-    found = {}
-    for ub, prod in zip(misses, class_products(a, misses.values())):
-        found[ua, ub] = _PRODUCTS.setdefault(tuple(prod.items()), prod)
-    _CLASS_COMPOSE.update(found)
-    return [found[ua, b.uid] if prod is None else prod
+    found = {ub: _PRODUCTS.setdefault(tuple(prod.items()), prod)
+             for ub, prod in zip(misses, class_products(a, misses.values()))}
+    _CLASS_COMPOSE.setdefault(a.uid, {}).update(found)
+    return [found[b.uid] if prod is None else prod
             for b, prod in zip(bs, row)]
 
 
 def compose_classes(a: SectionClass, b: SectionClass) -> dict:
-    """``compose_row(a, (b,))[0]``; a memo hit is one ``dict.get``."""
-    hit = _CLASS_COMPOSE.get((a.uid, b.uid))
+    """``compose_row(a, (b,))[0]``; a memo hit is two ``dict.get``s."""
+    hit = _CLASS_COMPOSE.get(a.uid, _NO_ROW).get(b.uid)
     if hit is not None:
         return hit
     return compose_row(a, (b,))[0]
@@ -301,19 +338,20 @@ def compose(a: GammaElement, b: GammaElement) -> GammaElement:
     """Composition Gamma(G,H) x Gamma(H,K) -> Gamma(G,K).
 
     By bilinearity each class c of a contributes its numerator times the
-    row sum of c o c' over b's classes c' and scaled numerators.  b keeps
-    these rows in its ``_row_sums``, keyed by c's uid, but only when a has
-    more than one class: a one-class a's row is the whole product.  The
-    memo lives and dies with b, which is sound only because ``coeffs`` is
-    never modified after __init__.  A class that cancels within one row is
-    dropped from it, so it may appear later in the result's order.
+    row sum of c o c' over b's classes c' and numerators.  b keeps these
+    rows in its ``_row_sums``, keyed by c's uid, but only when a has more
+    than one class: a one-class a's row is the whole product.  The memo
+    lives and dies with b, which is sound only because ``nums`` is never
+    modified.  A class that cancels within one row is dropped from it, so
+    it may appear later in the result's order.
     """
     if a.right.digest != b.left.digest:
         raise MiddleMismatch("composition needs a common middle group")
-    # Accumulate exact integers over the common denominator da * db, keyed
-    # by class id.
-    da, left, left_nums = a.scaled()
-    db, right, right_nums = b.scaled()
+    if not (a.nums and b.nums):  # zero; __init__ checks G x K's order
+        return GammaElement(a.left, b.right, {})
+    # Accumulate exact integers over the common denominator a.den * b.den,
+    # keyed by class id.
+    left, right = a.nums, b.nums
     store = len(left) > 1
     rows = b._row_sums
     if rows is None:
@@ -322,10 +360,10 @@ def compose(a: GammaElement, b: GammaElement) -> GammaElement:
             b._row_sums = rows
     acc: dict = {}
     classes: dict = {}
-    for cls_a, na in zip(left, left_nums):
+    for cls_a, na in left.items():
         row = rows.get(cls_a.uid)
         if row is None:
-            row = _row_sum(cls_a, right, right_nums)
+            row = _row_sum(cls_a, right.keys(), right.values())
             if store:
                 rows[cls_a.uid] = row
         for cls, n in row:
@@ -335,16 +373,13 @@ def compose(a: GammaElement, b: GammaElement) -> GammaElement:
             else:
                 acc[u] = na * n
                 classes[u] = cls
-    d = da * db
-    return GammaElement(a.left, b.right,
-                        {classes[u]: Fraction(n, d)
-                         for u, n in acc.items() if n})
+    return _element(a.left, b.right, a.den * b.den,
+                    {classes[u]: n for u, n in acc.items() if n})
 
 
 def opposite_element(a: GammaElement) -> GammaElement:
-    return GammaElement(a.right, a.left,
-                        {opposite_class(cls): c
-                         for cls, c in a.coeffs.items()})
+    return _element(a.right, a.left, a.den,
+                    {opposite_class(cls): n for cls, n in a.nums.items()})
 
 
 # -- elementary elements -------------------------------------------------------

@@ -8,8 +8,9 @@ Every memo table is a plain dict reached through ``table(owner, name)``.
   digest alone, while groups with equal tables differ in name, generators,
   factors and coset representatives, so no table is keyed by a group.
 - Owner ``None`` selects the process-wide tables, for results that
-  belong to no one object (class products keyed by class ids, interned
-  direct products, the default catalog).
+  belong to no one object (class products, interned direct products, the
+  default catalog).  The class-product table is nested, left class id
+  -> {right class id: product}, so a row of lookups fetches one dict.
 
 Hot paths fetch their table once per call (or once at import, for a
 process-wide table) and then read it with a single ``dict.get``.
@@ -17,8 +18,9 @@ process-wide table) and then read it with a single ``dict.get``.
 The slotted value types (``Subgroup``, ``SectionClass``, ``GammaElement``)
 have no ``_memo`` and keep their few lazy values in slots: a run makes
 10^4 to 10^5 of them, and a dict per instance would be paid on each.
-``GammaElement._row_sums`` is one: the row sums ``gamma.compose`` made
-with the element as its right operand, keyed by left class id.
+``GammaElement`` keeps two: ``_coeffs``, its ``Fraction`` coefficients,
+and ``_row_sums``, the row sums ``gamma.compose`` made with the element as
+its right operand, keyed by left class id.
 """
 
 from collections import defaultdict

@@ -5,6 +5,7 @@ composition code existed; it stays frozen as a regression anchor.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,16 +320,63 @@ def test_compose_matches_the_naive_bilinear_sum(data):
         assert out.coeffs == naive_compose(a, right_elt)
         assert all(type(c) is Fraction and c for c in out.coeffs.values())
     assert gamma.compose(a, b - b).is_zero()
-    # The same objects again, b also as a left operand: compose now reads
-    # their scaled coefficients from the form cached on first use.
+    # The same objects again, b also as a left operand.
     for left_elt, right_elt in ((a, b), (b, b), (a, b), (b, b)):
         assert gamma.compose(left_elt, right_elt).coeffs == \
             naive_compose(left_elt, right_elt)
     assert (a.coeffs, b.coeffs) == before
     for elt in (a, b):
-        d, classes, nums = elt.scaled()
-        assert {cls: Fraction(n, d) for cls, n in zip(classes, nums)} == \
-            elt.coeffs
+        assert {cls: Fraction(n, elt.den) for cls, n in elt.nums.items()} \
+            == elt.coeffs
+
+
+def fraction_sum(*terms):
+    """The zero-free Fraction dict of sum q * {cls: c} over (q, dict) terms,
+    in order of first appearance."""
+    acc = {}
+    for q, coeffs in terms:
+        for cls, c in coeffs.items():
+            acc[cls] = acc.get(cls, 0) + q * Fraction(c)
+    return {cls: c for cls, c in acc.items() if c}
+
+
+def assert_integer_form(elt, ref):
+    """elt is in lowest terms over one denominator and equals ref."""
+    assert type(elt.den) is int and elt.den > 0
+    assert all(type(n) is int and n for n in elt.nums.values())
+    assert gcd(elt.den, *elt.nums.values()) == 1
+    assert all(type(c) is Fraction for c in elt.coeffs.values())
+    assert elt.coeffs == ref
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_integer_form_matches_fraction_arithmetic(data):
+    G, H = cg("S3"), cg("C2")
+    left, right = gamma_basis(G, H), gamma_basis(H, G)
+    coeff = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+    def draw(classes):
+        return data.draw(st.dictionaries(st.sampled_from(classes), coeff,
+                                         max_size=6))
+    da, db, dc = draw(left), draw(left), draw(right)
+    q = data.draw(coeff)
+    a, b = gamma.GammaElement(G, H, da), gamma.GammaElement(G, H, db)
+    c = gamma.GammaElement(H, G, dc)
+    for elt, ref in ((a, fraction_sum((1, da))), (c, fraction_sum((1, dc))),
+                     (a + b, fraction_sum((1, da), (1, db))),
+                     (a - b, fraction_sum((1, da), (-1, db))),
+                     (q * a, fraction_sum((q, da))),
+                     (a * q, fraction_sum((q, da)))):
+        assert_integer_form(elt, ref)
+        assert list(elt.coeffs) == list(ref)
+    assert_integer_form(gamma.compose(a, c), naive_compose(a, c))
+    assert_integer_form(gamma.compose(c, b), naive_compose(c, b))
+    assert (a == b) == (fraction_sum((1, da)) == fraction_sum((1, db)))
+    for same in (gamma.GammaElement(G, H, dict(reversed(da.items()))),
+                 (a + b) - b, -(-a)):
+        assert same == a and hash(same) == hash(a)
+    assert gamma.zero(G, H) != gamma.zero(H, G)
 
 
 def test_row_sum_memo_equals_the_bilinear_sum():
@@ -419,10 +467,11 @@ def test_twist_memo_belongs_to_each_middle_group():
 
 
 def forget_products(a, bs):
-    """Drop the memoized products a o b, so that compose_row misses."""
+    """Drop the memoized products a o b, so that compose_row misses; returns
+    the memo, which maps a.uid to {b.uid: product}."""
     table = memo.table(None, "compose_classes")
     for b in bs:
-        table.pop((a.uid, b.uid), None)
+        table.get(a.uid, {}).pop(b.uid, None)
     return table
 
 
@@ -433,7 +482,9 @@ def assert_row_matches_the_kernel(left, right):
         assert [list(p.items()) for p in row] == \
             [list(gamma.class_product(a, b).items()) for b in right]
         # The memo now holds the row: compose_classes hands back its dicts.
+        known = memo.table(None, "compose_classes")[a.uid]
         for b, prod in zip(right, row):
+            assert known[b.uid] is prod
             assert gamma.compose_classes(a, b) is prod
 
 
@@ -466,4 +517,4 @@ def test_memoized_row_stores_nothing_when_the_batch_fails():
     table = forget_products(a, right)
     with pytest.raises(MiddleMismatch):
         gamma.compose_row(a, right)
-    assert not [b for b in right if (a.uid, b.uid) in table]
+    assert not [b for b in right if b.uid in table.get(a.uid, {})]
