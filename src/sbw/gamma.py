@@ -33,10 +33,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import MiddleMismatch, NotInPoset, NotIso, SpaceMismatch
+from .errors import MiddleMismatch, NotInPoset, SpaceMismatch
 from .groups import (
     Group,
-    Hom,
     Subgroup,
     as_group,
     direct_product,
@@ -414,16 +413,6 @@ def deflation(G: Group, N: Subgroup) -> GammaElement:
     ambient = direct_product(Q, G)
     graph = tuple(sorted(pi.images[g] * G.order + g for g in range(G.order)))
     return basis_element(Q, G, canonical_section(ambient, graph, graph))
-
-
-def iso_element(f: Hom) -> GammaElement:
-    """Iso(f): Gamma(G, H) class of the graph of an isomorphism f: H -> G."""
-    if not f.is_bijective():
-        raise NotIso("iso element needs a bijective homomorphism")
-    H, G = f.source, f.target
-    ambient = direct_product(G, H)
-    graph = tuple(sorted(f.images[h] * H.order + h for h in range(H.order)))
-    return basis_element(G, H, canonical_section(ambient, graph, graph))
 
 
 # -- the idempotent-bearing sections ------------------------------------------

@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from . import classify, crossed, gamma, posets, sections
@@ -41,9 +42,6 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.ok]
 
 
 def _run(out: list, suite: str, name: str, tag: str, fn: Callable) -> None:
@@ -333,6 +331,73 @@ def _coset_counter(G: Group) -> Callable:
     return count
 
 
+def _join_wants(G: Group, pairs, poset, middles) -> dict:
+    """m0 -> (left, right) for each distinct m0 in middles: per pair z,
+    what E_z o b and b o E_z must be when b's left, or right, middle
+    invariant is m0.
+
+    An entry (z, j, count, scale) asks for count [c] with c's invariant on
+    b's side j = z v m0; count is |P_z\\G/P_m0| on the left, |P_m0\\G/P_z|
+    on the right.  If z <= m0 it must be scale [b], scale = (G:P_z), else
+    scale is 0.  Each distinct m0 costs one join per pair.
+    """
+    cosets = _coset_counter(G)
+    ups = [poset.up[poset.index[z]] for z in pairs]
+    wants = {}
+    for m0 in dict.fromkeys(middles):
+        bit = poset.index[m0]
+        left, right = wants[m0] = ([], [])
+        for z, up in zip(pairs, ups):
+            join = poset.join(z, m0)
+            scale = G.order // z[1].order if up >> bit & 1 else 0
+            left.append((z, join, cosets(z[1], m0[1]), scale))
+            right.append((z, join, cosets(m0[1], z[1]), scale))
+    return wants
+
+
+def _class_actions(b, lefts, rights, want_l, want_r) -> None:
+    """Check E_z o b (lefts) and b o E_z (rights), in pair order, against
+    wants[l0][0] and wants[r0][1] of ``_join_wants``; shared by both modes."""
+    for prods, wants, middle in ((lefts, want_l, sections.middle_left),
+                                 (rights, want_r, sections.middle_right)):
+        for prod, (z, join, count, scale) in zip(prods, wants, strict=True):
+            (cls, m), = prod.items()
+            assert middle(cls) == join, (z, b.key)
+            assert m == count, (z, b.key)
+            if scale:
+                assert cls == b and m == scale, (z, b.key)
+
+
+def _sum(prods, terms) -> dict:
+    """The sum of n * prods[k] over (k, n) in terms, for class products
+    (class -> int), as class uid -> int with zeros dropped."""
+    acc: dict = {}
+    get = acc.get
+    for k, n in terms:
+        for cls, m in prods[k].items():
+            u = cls.uid
+            acc[u] = get(u, 0) + n * m
+    return {u: q for u, q in acc.items() if q}
+
+
+def _central_split(terms, lefts, rights, den: int, b) -> list:
+    """Check f_X o b = b o f_X per block X, and sum_X f_X o b = b, on the
+    integer sums den * (f_X o b), which are returned, one per block.
+
+    terms[X] lists the (k, n) with den * f_X = sum of n E_k, and lefts[k]
+    and rights[k] are E_k o b and b o E_k."""
+    sums = []
+    total: dict = {}
+    for i, block in enumerate(terms):
+        left = _sum(lefts, block)
+        assert left == _sum(rights, block), (i, b.key)
+        sums.append(left)
+        for u, q in left.items():
+            total[u] = total.get(u, 0) + q
+    assert {u: q for u, q in total.items() if q} == {b.uid: den}, b.key
+    return sums
+
+
 def _idempotents_common(out: list, gid: str, G: Group, pairs, poset, es, ecls):
     """e-join grid with multiplicities; shared by both modes."""
     def grid():
@@ -377,6 +442,11 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
     basis = classify.covering_basis(G)
     ident = gamma.identity_element(G)
 
+    def block_sums(elems) -> list:
+        """The sum of elems[p] over each linkage class, in block order."""
+        return [sum((elems[p] for p in block), gamma.zero(G, G))
+                for block in part.blocks]
+
     _idempotents_common(out, gid, G, pairs, poset, es, ecls)
 
     def f_laws():
@@ -401,16 +471,7 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
          "mobius-f-laws", f_laws)
 
     def class_sums():
-        eX = {}
-        fX = {}
-        for i, block in enumerate(part.blocks):
-            acc_e = gamma.zero(G, G)
-            acc_f = gamma.zero(G, G)
-            for p in block:
-                acc_e = acc_e + es[p]
-                acc_f = acc_f + fs[p]
-            eX[i] = acc_e
-            fX[i] = acc_f
+        eX, fX = block_sums(es), block_sums(fs)
         n = 0
         for i in range(len(part.blocks)):
             for j in range(len(part.blocks)):
@@ -422,80 +483,70 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
                 ffp = gamma.compose(fX[i], fX[j])
                 assert (ffp == fX[i]) if i == j else ffp.is_zero(), (i, j)
                 n += 1
-        total = gamma.zero(G, G)
-        for i in fX:
-            total = total + fX[i]
-        assert total == ident
+        assert sum(fX, gamma.zero(G, G)) == ident
         return f"{len(part.blocks)} classes, {n} products"
     _run(out, "idempotents", f"{gid} linkage class sums",
          "linkage-class-sums", class_sums)
 
     def covering_action():
-        n = 0
-        cosets = _coset_counter(G)
+        l0s, r0s = basis.left_middle, basis.right_middle
+        want = _join_wants(G, pairs, poset, [*l0s.values(), *r0s.values()])
         e_classes = [ecls[z][0] for z in pairs]
-        ups = [poset.up[poset.index[z]] for z in pairs]
         # lefts[i][j] = E_z o b for z = pairs[i], b = basis.classes[j].
         lefts = [gamma.compose_row(Ez, basis.classes) for Ez in e_classes]
-        for j, b in enumerate(basis.classes):
-            l0 = basis.left_middle[b]
-            r0 = basis.right_middle[b]
-            l0_bit = poset.index[l0]
-            belt = gamma.basis_element(G, G, b)
-            mirrors = gamma.compose_row(b, e_classes)
-            for i, z in enumerate(pairs):
-                (cls, coeff), = lefts[i][j].items()
-                join = poset.join(z, l0)
-                assert sections.middle_left(cls) == join, (z, b.key)
-                assert coeff == cosets(z[1], l0[1]), (z, b.key)
-                if ups[i] >> l0_bit & 1:
-                    eb = gamma.compose(es[z], belt)
-                    assert eb == belt, (z, b.key)
-                (cls2, coeff2), = mirrors[i].items()
-                assert sections.middle_right(cls2) == poset.join(z, r0)
-                assert coeff2 == cosets(r0[1], z[1]), (z, b.key)
-                n += 1
+        for b, col in zip(basis.classes, zip(*lefts)):
+            _class_actions(b, col, gamma.compose_row(b, e_classes),
+                           want[l0s[b]][0], want[r0s[b]][1])
+        n = len(pairs) * len(basis.classes)
         return f"{n} class actions over {len(basis.classes)} covering classes"
     _run(out, "idempotents", f"{gid} covering class actions",
          "covering-left-action", covering_action)
 
     def central():
-        fX = {}
-        for i, block in enumerate(part.blocks):
-            acc = gamma.zero(G, G)
-            for p in block:
-                acc = acc + fs[p]
-            fX[i] = acc
+        fX = block_sums(fs)
+        # den * f_X = sum of n E_k over the classes E_k = support[k].
+        den = lcm(*(f.den for f in fX))
+        support = list({cls: None for f in fX for cls in f.nums})
+        pos = {cls: k for k, cls in enumerate(support)}
+        terms = [[(pos[cls], q * (den // f.den)) for cls, q in f.nums.items()]
+                 for f in fX]
+        # rows[k][j] = E_k o b for E_k = support[k], b = basis.classes[j].
+        rows = [gamma.compose_row(c, basis.classes) for c in support]
         # f_X b f_Y = b f_X f_Y once centrality holds, so the quadratic
         # sweep over (X, Y) only runs where the basis is small.
         explicit = len(basis.classes) <= _TWO_SIDED_LIMIT
+        row_sums: dict = {}  # class uid -> den * (d o f_Y), per block Y
         n = 0
-        for b in basis.classes:
-            belt = gamma.basis_element(G, G, b)
+        for b, lefts in zip(basis.classes, zip(*rows)):
             assert part.block_of[basis.left_middle[b]] == \
                 part.block_of[basis.right_middle[b]], b.key
-            comps = {}
-            total = gamma.zero(G, G)
-            for i in fX:
-                left = gamma.compose(fX[i], belt)
-                right = gamma.compose(belt, fX[i])
-                assert left == right, (i, b.key)
-                comps[i] = left
-                total = total + left
-                n += 2
-            assert total == belt, b.key
+            comps = _central_split(terms, lefts,
+                                   gamma.compose_row(b, support), den, b)
+            n += 2 * len(fX)
             if not explicit:
                 continue
-            diag = gamma.zero(G, G)
-            for i in fX:
-                for j in fX:
-                    both = gamma.compose(comps[i], fX[j])
-                    if i == j:
-                        diag = diag + both
-                    else:
-                        assert both.is_zero(), (i, j, b.key)
-                    n += 1
-            assert diag == belt, b.key
+            # den^2 * (f_X o b o f_Y) from the row sums den * (d o f_Y) of
+            # the classes d of den * (f_X o b); a zero one needs none.
+            by_uid = {cls.uid: cls for prod in lefts for cls in prod}
+            diag: dict = {}
+            for i, comp in enumerate(comps):
+                n += len(fX)
+                if not comp:
+                    continue
+                boths = [diag if j == i else {} for j in range(len(fX))]
+                for u, q in comp.items():
+                    sums = row_sums.get(u)
+                    if sums is None:
+                        row = gamma.compose_row(by_uid[u], support)
+                        sums = row_sums[u] = [_sum(row, block)
+                                              for block in terms]
+                    for both, part_sum in zip(boths, sums):
+                        for v, m in part_sum.items():
+                            both[v] = both.get(v, 0) + q * m
+                for j, both in enumerate(boths):
+                    assert j == i or not any(both.values()), (i, j, b.key)
+            assert {u: q for u, q in diag.items() if q} == \
+                {b.uid: den * den}, b.key
         mode = "explicit two-sided" if explicit else "centrality"
         return f"{n} products, {mode}"
     _run(out, "idempotents", f"{gid} covering centrality",
@@ -572,63 +623,35 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
             old = by_l0.get(l0)
             if old is None or c.sort_key() < old.sort_key():
                 by_l0[l0] = c
-        n = 0
-        fcoeff = {x: [(index[z], mob[x, z]) for z in pairs
-                      if mob.get((x, z))] for x in pairs}
-        cosets = _coset_counter(G)
-        e_classes = [ecls[z][0] for z in pairs]
-        ups = [poset.up[poset.index[z]] for z in pairs]
         witnesses = list(by_l0.values())
+        want = _join_wants(G, pairs, poset, [
+            m for b in witnesses
+            for m in (basis.left_middle[b], basis.right_middle[b])])
+        e_classes = [ecls[z][0] for z in pairs]
         # lefts[i][j] = E_z o b for z = pairs[i], b = witnesses[j].
         lefts = [gamma.compose_row(Ez, witnesses) for Ez in e_classes]
-        # Factors coeff / dz are kept exact as integers scaled by |G|:
-        # dz = (G:P), so |G| * coeff / dz = coeff * |P|.
-        for j, b in enumerate(witnesses):
+        # |G| f_X = sum over x in X and z of mu(x, z) |P_z| E_z, because
+        # e_z = E_z / (G:P_z).
+        terms = []
+        for block in part.blocks:
+            acc = {}
+            for x in block:
+                for i, z in enumerate(pairs):
+                    mz = mob.get((x, z))
+                    if mz:
+                        acc[i] = acc.get(i, 0) + mz * z[1].order
+            terms.append([(i, q) for i, q in acc.items() if q])
+        for b, col in zip(witnesses, zip(*lefts)):
             l0 = basis.left_middle[b]
             r0 = basis.right_middle[b]
-            l0_bit, r0_bit = poset.index[l0], poset.index[r0]
             assert part.block_of[l0] == part.block_of[r0], b.key
-            belt = gamma.basis_element(G, G, b)
             mirrors = gamma.compose_row(b, e_classes)
-            left = []
-            right = []
-            for i, z in enumerate(pairs):
-                (cls, coeff), = lefts[i][j].items()
-                assert sections.middle_left(cls) == poset.join(z, l0)
-                assert coeff == cosets(z[1], l0[1])
-                left.append((cls, coeff * z[1].order))
-                (cls2, coeff2), = mirrors[i].items()
-                assert sections.middle_right(cls2) == poset.join(z, r0)
-                right.append((cls2, coeff2 * z[1].order))
-                if ups[i] >> l0_bit & 1:
-                    assert left[-1] == (b, G.order), (z, b.key)
-                if ups[i] >> r0_bit & 1:
-                    assert right[-1] == (b, G.order), (z, b.key)
-                n += 2
-            # Classes are interned, so the sums below are keyed by uid.
-            left_ids = [(cls.uid, q) for cls, q in left]
-            right_ids = [(cls.uid, q) for cls, q in right]
+            _class_actions(b, col, mirrors, want[l0][0], want[r0][1])
             # Per block: f_X acts the same from both sides (centrality);
             # off-diagonal f_X b f_Y = b f_X f_Y then vanishes by the
             # orthogonality and associativity checked elsewhere.
-            total = {}
-            for block in part.blocks:
-                acc_l = {}
-                acc_r = {}
-                for x in block:
-                    for zi, mz in fcoeff[x]:
-                        u, q = left_ids[zi]
-                        acc_l[u] = acc_l.get(u, 0) + mz * q
-                        u, q = right_ids[zi]
-                        acc_r[u] = acc_r.get(u, 0) + mz * q
-                acc_l = {c: q for c, q in acc_l.items() if q}
-                acc_r = {c: q for c, q in acc_r.items() if q}
-                assert acc_l == acc_r, b.key
-                for c, q in acc_l.items():
-                    total[c] = total.get(c, 0) + q
-            total = {c: q for c, q in total.items() if q}
-            assert total == {c.uid: G.order * q
-                             for c, q in belt.coeffs.items()}, b.key
+            _central_split(terms, col, mirrors, G.order, b)
+        n = 2 * len(pairs) * len(witnesses)
         return f"{n} composes over {len(by_l0)} witness classes"
     _run(out, "idempotents", f"{gid} covering witness actions",
          "covering-left-action", witness_action)

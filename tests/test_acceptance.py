@@ -40,8 +40,26 @@ def test_mackey_products_under_a_minute():
     assert "mackey-assoc-random" in tags
 
 
+# The product counts of the covering checks on the groups of the
+# idempotents benchmark, pinned so that a count drift shows here.
+COVERING_DETAILS = {
+    "C2xC2": ("14160 products, explicit two-sided",
+              "2950 class actions over 118 covering classes"),
+    "C4xC2": ("24576 products, centrality",
+              "24576 class actions over 384 covering classes"),
+    "D8": ("17568 products, explicit two-sided",
+           "1403 class actions over 61 covering classes"),
+    "Q8": ("19695 products, explicit two-sided",
+           "2323 class actions over 101 covering classes"),
+}
+
+
 def test_idempotent_laws_under_a_minute():
-    run_gate("idempotent laws", "idempotents", 60.0)
+    report = run_gate("idempotent laws", "idempotents", 60.0)
+    details = {(c.name.split(" ")[0], c.tag): c.detail for c in report.checks}
+    for gid, (centrality, actions) in COVERING_DETAILS.items():
+        assert details[gid, "covering-centrality"] == centrality
+        assert details[gid, "covering-left-action"] == actions
 
 
 def test_gamma_groups_match_out_under_two_minutes():

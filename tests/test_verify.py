@@ -2,8 +2,10 @@
 
 import pytest
 
-from sbw import catalog, verify
+from sbw import catalog, classify, gamma, posets, verify
 from sbw.errors import WorkbenchError
+
+CAT = catalog.default_catalog()
 
 
 def test_suite_registry():
@@ -102,3 +104,57 @@ def test_a_suite_survives_a_bug_in_every_check(monkeypatch):
     checks = verify.suite_linkage(max_order=2)
     assert len(checks) == 3
     assert all(not c.ok and c.tag == "internal-error" for c in checks)
+
+
+@pytest.mark.parametrize("wrong_side", ["E_z o b", "b o E_z"])
+def test_covering_checks_catch_a_wrong_product(monkeypatch, wrong_side):
+    G = CAT.by_id("C2xC2").group
+    out = []
+    verify._idempotents_full(out, "C2xC2", G)  # build every memo first
+    assert all(c.ok for c in out)
+    pairs = posets.normal_commuting_pairs(G)
+    e_classes = {gamma.e_class(G, *p) for p in pairs}
+    Ez = gamma.e_class(G, *pairs[0])
+    # A b that is no E class, so the products among E classes, which the
+    # e and f laws read and cache in the elements, stay right.
+    b = next(c for c in classify.covering_basis(G).classes
+             if c not in e_classes)
+    left, right = (Ez, b) if wrong_side == "E_z o b" else (b, Ez)
+    compose_row = gamma.compose_row
+
+    def wrong_row(a, bs):
+        row = list(compose_row(a, bs))  # a copy: the memo stays right
+        if a is left:
+            for k, c in enumerate(bs):
+                if c is right:
+                    (cls, m), = row[k].items()
+                    row[k] = {cls: m + 1}
+        return row
+
+    monkeypatch.setattr(verify.gamma, "compose_row", wrong_row)
+    out = []
+    verify._idempotents_full(out, "C2xC2", G)
+    failed = {c.name: c.detail for c in out if not c.ok}
+    for name in ("C2xC2 covering centrality", "C2xC2 covering class actions"):
+        assert failed[name].startswith("AssertionError"), failed
+
+
+@pytest.mark.parametrize("gid", ["C2xC2", "D8"])
+def test_witness_mode_passes_on_small_groups(monkeypatch, gid):
+    calls = []
+    class_actions = verify._class_actions
+
+    def counted(b, *args):
+        calls.append(b)
+        return class_actions(b, *args)
+
+    monkeypatch.setattr(verify, "_class_actions", counted)
+    out = []
+    verify._idempotents_witness(out, gid, CAT.by_id(gid).group)
+    assert [c.tag for c in out] == [
+        "e-join-grid", "join-lattice", "mobius-f-laws",
+        "covering-left-action", "covering-self-opposite"]
+    assert all(c.ok for c in out), [(c.name, c.detail) for c in out]
+    # One call per witness class, one witness per distinct left middle.
+    assert calls and len(set(calls)) == len(calls)
+    assert out[3].detail.endswith(f" over {len(calls)} witness classes")
