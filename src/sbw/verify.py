@@ -332,35 +332,37 @@ def _coset_counter(G: Group) -> Callable:
 
 
 def _join_wants(G: Group, pairs, poset, middles) -> dict:
-    """m0 -> (left, right) for each distinct m0 in middles: per pair z,
-    what E_z o b and b o E_z must be when b's left, or right, middle
-    invariant is m0.
-
-    An entry (z, j, count, scale) asks for count [c] with c's invariant on
-    b's side j = z v m0; count is |P_z\\G/P_m0| on the left, |P_m0\\G/P_z|
-    on the right.  If z <= m0 it must be scale [b], scale = (G:P_z), else
-    scale is 0.  Each distinct m0 costs one join per pair.
+    """m0 -> (joins, scales, lefts, rights), tuples in pair order, for each
+    distinct m0 in middles: for b with left (right) middle invariant m0,
+    E_z o b (b o E_z) must be lefts[i] (rights[i]) times one class whose
+    invariant on that side is joins[i] = z v m0; lefts[i] = |P_z\\G/P_m0|,
+    rights[i] = |P_m0\\G/P_z|.  If z <= m0, that class is b and the
+    multiplicity scales[i] = (G:P_z); else scales[i] = 0.  Each distinct m0
+    costs one join per pair.
     """
     cosets = _coset_counter(G)
     ups = [poset.up[poset.index[z]] for z in pairs]
     wants = {}
     for m0 in dict.fromkeys(middles):
         bit = poset.index[m0]
-        left, right = wants[m0] = ([], [])
-        for z, up in zip(pairs, ups):
-            join = poset.join(z, m0)
-            scale = G.order // z[1].order if up >> bit & 1 else 0
-            left.append((z, join, cosets(z[1], m0[1]), scale))
-            right.append((z, join, cosets(m0[1], z[1]), scale))
+        wants[m0] = (tuple(poset.join(z, m0) for z in pairs),
+                     tuple(G.order // z[1].order if up >> bit & 1 else 0
+                           for z, up in zip(pairs, ups)),
+                     tuple(cosets(z[1], m0[1]) for z in pairs),
+                     tuple(cosets(m0[1], z[1]) for z in pairs))
     return wants
 
 
-def _class_actions(b, lefts, rights, want_l, want_r) -> None:
+def _class_actions(b, pairs, lefts, rights, want_l, want_r) -> None:
     """Check E_z o b (lefts) and b o E_z (rights), in pair order, against
-    wants[l0][0] and wants[r0][1] of ``_join_wants``; shared by both modes."""
-    for prods, wants, middle in ((lefts, want_l, sections.middle_left),
-                                 (rights, want_r, sections.middle_right)):
-        for prod, (z, join, count, scale) in zip(prods, wants, strict=True):
+    wants[l0] and wants[r0] of ``_join_wants``; shared by both modes."""
+    joins_l, scales_l, counts_l, _ = want_l
+    joins_r, scales_r, _, counts_r = want_r
+    for prods, middle, joins, counts, scales in (
+            (lefts, sections.middle_left, joins_l, counts_l, scales_l),
+            (rights, sections.middle_right, joins_r, counts_r, scales_r)):
+        for z, prod, join, count, scale in zip(
+                pairs, prods, joins, counts, scales, strict=True):
             (cls, m), = prod.items()
             assert middle(cls) == join, (z, b.key)
             assert m == count, (z, b.key)
@@ -462,10 +464,7 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
                 ff = gamma.compose(fs[x], fs[y])
                 assert (ff == fs[x]) if x == y else ff.is_zero(), (x, y)
                 n += 1
-        total = gamma.zero(G, G)
-        for x in pairs:
-            total = total + fs[x]
-        assert total == ident
+        assert sum(fs.values(), gamma.zero(G, G)) == ident
         return f"{n} pairs, sum of f equals identity"
     _run(out, "idempotents", f"{gid} Moebius idempotent laws",
          "mobius-f-laws", f_laws)
@@ -495,8 +494,8 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
         # lefts[i][j] = E_z o b for z = pairs[i], b = basis.classes[j].
         lefts = [gamma.compose_row(Ez, basis.classes) for Ez in e_classes]
         for b, col in zip(basis.classes, zip(*lefts)):
-            _class_actions(b, col, gamma.compose_row(b, e_classes),
-                           want[l0s[b]][0], want[r0s[b]][1])
+            _class_actions(b, pairs, col, gamma.compose_row(b, e_classes),
+                           want[l0s[b]], want[r0s[b]])
         n = len(pairs) * len(basis.classes)
         return f"{n} class actions over {len(basis.classes)} covering classes"
     _run(out, "idempotents", f"{gid} covering class actions",
@@ -646,7 +645,7 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
             r0 = basis.right_middle[b]
             assert part.block_of[l0] == part.block_of[r0], b.key
             mirrors = gamma.compose_row(b, e_classes)
-            _class_actions(b, col, mirrors, want[l0][0], want[r0][1])
+            _class_actions(b, pairs, col, mirrors, want[l0], want[r0])
             # Per block: f_X acts the same from both sides (centrality);
             # off-diagonal f_X b f_Y = b f_X f_Y then vanishes by the
             # orthogonality and associativity checked elsewhere.
