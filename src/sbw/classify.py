@@ -260,18 +260,6 @@ def irr_count(gg: GammaGroup) -> int:
     return len(conjugacy_classes(gg.group))
 
 
-# -- bimodule sets between linked triples -------------------------------------
-
-def bimodule_set(tripleG, tripleH) -> tuple:
-    """Classes of G x H with invariants l = (G,K,P,1), r = (H,L,Q,1).
-
-    Empty when the triples are not linked.
-    """
-    G, K, P = tripleG
-    H, L, Q = tripleH
-    return sections.constrained_sections(G, H, K, P, L, Q)
-
-
 # -- matrix shape of the covering algebra -------------------------------------
 
 @dataclass
@@ -335,26 +323,23 @@ def matrix_decomposition(G: Group) -> MatrixReport:
         for f in fs[1:]:
             f_block = f_block + f
         # cell dimensions: span of f_i b f_j over all covering b is |Gamma|,
-        # and the bimodule classes already realize that rank.
+        # and the bimodule classes (the classes with l0 = members[i] and
+        # r0 = members[j], a subset of ``supported``) already realize it.
         for i in range(n):
             for j in range(n):
-                bset = bimodule_set((G,) + members[i], (G,) + members[j])
+                bset = sections.constrained_sections(
+                    G, G, *members[i], *members[j])
                 if len(bset) != gsize:
                     raise DecompositionMismatch(
                         f"bimodule set size {len(bset)} != |Gamma| {gsize}")
-                vecs = []
-                for b in bset:
-                    img = gamma.compose(gamma.compose(
-                        fs[i], gamma.basis_element(G, G, b)), fs[j])
-                    vecs.append(as_vector(img))
-                if rational_rank(vecs) != gsize:
+                cell = {b: as_vector(gamma.compose(gamma.compose(
+                    fs[i], gamma.basis_element(G, G, b)), fs[j]))
+                    for b in supported}
+                if rational_rank([cell[b] for b in bset]) != gsize:
                     raise DecompositionMismatch(
                         f"cell ({i},{j}) of block {members[0]} has deficient "
                         "rank")
-                extra = [as_vector(gamma.compose(gamma.compose(
-                    fs[i], gamma.basis_element(G, G, b)), fs[j]))
-                    for b in supported]
-                if rational_rank(vecs + extra) != gsize:
+                if rational_rank(list(cell.values())) != gsize:
                     raise DecompositionMismatch(
                         f"cell ({i},{j}) of block {members[0]} exceeds "
                         "|Gamma| dimensions")
@@ -656,7 +641,7 @@ def transport_check(tripleG, tripleH) -> dict:
     """
     G, K, P = tripleG
     H, L, Q = tripleH
-    bset = bimodule_set(tripleG, tripleH)
+    bset = sections.constrained_sections(G, H, K, P, L, Q)
     if not bset:
         raise AxiomFailed("transport requires linked triples")
     wit = bset[0]

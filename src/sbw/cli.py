@@ -112,20 +112,15 @@ def cmd_compose(args):
 
 def cmd_idempotents(args):
     G = _group(args)
-    pairs = posets.normal_commuting_pairs(G)
     poset = posets.build_poset(G)
-    index = {p: i for i, p in enumerate(pairs)}
-    payload = {
-        "group": jsonio.group_ref(G),
-        "pairs": [jsonio.pair_json(p) for p in pairs],
-        "leq": [[index[q] for q in pairs if poset.leq(p, q)]
-                for p in pairs],
-        "join": [[index[poset.join(p, q)] for q in pairs] for p in pairs],
-        "e": [jsonio.element_to_json(posets.e_idempotent(G, p))
-              for p in pairs],
-        "f": [jsonio.element_to_json(posets.f_idempotent(G, p))
-              for p in pairs],
-    }
+    pairs = poset.elements
+    payload = jsonio.poset_to_json(G)
+    payload["join"] = [[poset.index[poset.join(p, q)] for q in pairs]
+                       for p in pairs]
+    payload["e"] = [jsonio.element_to_json(posets.e_idempotent(G, p))
+                    for p in pairs]
+    payload["f"] = [jsonio.element_to_json(posets.f_idempotent(G, p))
+                    for p in pairs]
     return 0, payload
 
 
@@ -364,7 +359,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    if getattr(args, "unsafe_order", None):
+    if args.unsafe_order is not None:
         os.environ["SBW_MAX_ORDER"] = str(args.unsafe_order)
     try:
         code, payload = args.handler(args)

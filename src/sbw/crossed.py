@@ -24,6 +24,7 @@ from .groups import (
     coset_structure,
     direct_product,
     isomorphisms,
+    orbit,
 )
 
 
@@ -83,23 +84,13 @@ class CrossedModule:
                 len(set(self.boundary.images)), self._orbit_census())
 
     def _orbit_census(self) -> tuple:
-        seen = [False] * self.a.order
+        seen: set = set()
         sizes = []
         for x in range(self.a.order):
-            if seen[x]:
-                continue
-            orbit = {x}
-            queue = [x]
-            while queue:
-                y = queue.pop()
-                for row in self.action:
-                    z = row[y]
-                    if z not in orbit:
-                        orbit.add(z)
-                        queue.append(z)
-            for y in orbit:
-                seen[y] = True
-            sizes.append(len(orbit))
+            if x not in seen:
+                points = orbit(x, lambda y: [row[y] for row in self.action])
+                seen |= points
+                sizes.append(len(points))
         return tuple(sorted(sizes))
 
     def __repr__(self):

@@ -172,11 +172,16 @@ def basis_element(G: Group, H: Group, cls: SectionClass,
     return GammaElement(G, H, {cls: Fraction(coeff)})
 
 
+def _graph_element(G: Group, H: Group, pairs) -> GammaElement:
+    """The basis element of Gamma(G, H) of the class of (U, U), where U is
+    the subgroup of G x H on the (g, h) of ``pairs``."""
+    U = tuple(sorted(g * H.order + h for g, h in pairs))
+    return basis_element(G, H, canonical_section(direct_product(G, H), U, U))
+
+
 def identity_element(G: Group) -> GammaElement:
     """The class of (diag(G), diag(G)), the identity of Gamma(G, G)."""
-    ambient = direct_product(G, G)
-    diag = tuple(sorted(g * G.order + g for g in range(G.order)))
-    return basis_element(G, G, canonical_section(ambient, diag, diag))
+    return _graph_element(G, G, ((g, g) for g in range(G.order)))
 
 
 # left class uid -> {right class uid: product}; _NO_ROW, never stored or
@@ -386,33 +391,25 @@ def opposite_element(a: GammaElement) -> GammaElement:
 def induction(G: Group, Hsub: Subgroup) -> GammaElement:
     """Ind: Gamma(G, H) class of (diag(H), diag(H)) for H <= G."""
     Hs, to_parent = as_group(Hsub)
-    ambient = direct_product(G, Hs)
-    diag = tuple(sorted(to_parent[i] * Hs.order + i for i in range(Hs.order)))
-    return basis_element(G, Hs, canonical_section(ambient, diag, diag))
+    return _graph_element(G, Hs, ((g, i) for i, g in enumerate(to_parent)))
 
 
 def restriction(G: Group, Hsub: Subgroup) -> GammaElement:
     """Res: Gamma(H, G) class of (diag(H), diag(H)) for H <= G."""
     Hs, to_parent = as_group(Hsub)
-    ambient = direct_product(Hs, G)
-    diag = tuple(sorted(i * G.order + to_parent[i] for i in range(Hs.order)))
-    return basis_element(Hs, G, canonical_section(ambient, diag, diag))
+    return _graph_element(Hs, G, enumerate(to_parent))
 
 
 def inflation(G: Group, N: Subgroup) -> GammaElement:
     """Inf: Gamma(G, G/N) class of the graph of the projection."""
     Q, pi = quotient(G, N)
-    ambient = direct_product(G, Q)
-    graph = tuple(sorted(g * Q.order + pi.images[g] for g in range(G.order)))
-    return basis_element(G, Q, canonical_section(ambient, graph, graph))
+    return _graph_element(G, Q, enumerate(pi.images))
 
 
 def deflation(G: Group, N: Subgroup) -> GammaElement:
     """Def: Gamma(G/N, G) class of the reversed graph of the projection."""
     Q, pi = quotient(G, N)
-    ambient = direct_product(Q, G)
-    graph = tuple(sorted(pi.images[g] * G.order + g for g in range(G.order)))
-    return basis_element(Q, G, canonical_section(ambient, graph, graph))
+    return _graph_element(Q, G, ((q, g) for g, q in enumerate(pi.images)))
 
 
 # -- the idempotent-bearing sections ------------------------------------------

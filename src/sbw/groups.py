@@ -37,18 +37,22 @@ DEFAULT_ORDER_CAP = 512
 
 
 def order_cap() -> int:
-    """Current order cap; the SBW_MAX_ORDER environment variable overrides."""
+    """The order cap, the one place it is read: SBW_MAX_ORDER (which
+    ``--unsafe-order`` sets) overrides the default."""
     env = os.environ.get("SBW_MAX_ORDER")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise WorkbenchError(
-                f"SBW_MAX_ORDER must be an integer, not {env!r}") from None
-    return DEFAULT_ORDER_CAP
+    if not env:
+        return DEFAULT_ORDER_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0  # refused below, with the values under 1
+    if cap < 1:
+        raise WorkbenchError(
+            f"SBW_MAX_ORDER must be an integer >= 1, not {env!r}")
+    return cap
 
 
-def _validate_table(rows: tuple, max_order: int) -> None:
+def _validate_table(rows: tuple) -> None:
     """Raise unless ``rows`` is the table of a group with identity 0.
 
     The cheap checks come first (size, entry range, identity, Latin
@@ -66,8 +70,6 @@ def _validate_table(rows: tuple, max_order: int) -> None:
     n = len(rows)
     if n == 0:
         raise NoIdentity("empty multiplication table")
-    if n > max_order:
-        raise OrderLimitExceeded(f"order {n} exceeds cap {max_order}")
     for row in rows:
         if len(row) != n:
             raise NotClosed("multiplication table is not square")
@@ -97,28 +99,23 @@ class Group:
     ``table[a][b]`` is the product ``a*b``.  Index 0 is the identity.
     ``gens`` records distinguished generators for the named constructors
     (e.g. the rotation/reflection of a dihedral group); ``factors`` is set
-    on direct products; ``spec`` is a reconstruction recipe for JSON.
+    on direct products.
     """
 
-    def __init__(self, table, name: str = "G", perm_gens=None, factors=None,
-                 gens=None, spec=None, max_order: Optional[int] = None,
+    def __init__(self, table, name: str = "G", factors=None, gens=None,
                  validate: bool = True):
         rows = tuple(tuple(map(int, row)) for row in table)
-        cap = order_cap() if max_order is None else max_order
+        _check_order(len(rows))
         if validate:
-            _validate_table(rows, cap)
-        elif len(rows) > cap:
-            raise OrderLimitExceeded(f"order {len(rows)} exceeds cap {cap}")
+            _validate_table(rows)
         self.table = rows
         self.order = len(rows)
         self.name = name
-        self.perm_gens = perm_gens
         self.factors = factors
         # One tuple shared by the keys of all section classes of a product.
         self.factor_digests = (None if factors is None
                                else (factors[0].digest, factors[1].digest))
         self.gens = gens
-        self.spec = spec
         cells = array("H", itertools.chain.from_iterable(rows)).tobytes()
         self.digest = hashlib.blake2b(cells, digest_size=12).hexdigest()
         self._inv = tuple(int(row.index(0)) for row in rows)
@@ -225,6 +222,22 @@ def _closure(table: tuple, gens: Sequence[int]) -> set:
                     nxt.append(b)
         frontier = nxt
     return elems
+
+
+def orbit(start, images) -> set:
+    """Every point reached from ``start`` by breadth-first search, where
+    ``images(x)`` gives the images of x under each generator."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in images(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
 
 
 def _least_generators(table: tuple, elems: Sequence[int]) -> tuple:
@@ -417,25 +430,16 @@ def subgroup_lattice(G: Group) -> SubgroupLattice:
     subs.sort()
     by_elems = {s.elem_set: s for s in subs}
     # conjugacy classes via orbit of the element set under generator conjugation
-    gens = G.generators()
-    assigned: dict = {}
+    perms = [G.conj_perm(g) for g in G.generators()]
+    assigned: set = set()
     classes = []
     for s in subs:
         if s.elem_set in assigned:
             continue
-        orbit = {s.elem_set}
-        queue = [s.elem_set]
-        while queue:
-            cur = queue.pop()
-            for g in gens:
-                perm = G.conj_perm(g)
-                img = frozenset(perm[x] for x in cur)
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-        members = tuple(sorted((by_elems[m] for m in orbit)))
-        for m in members:
-            assigned[m.elem_set] = True
+        conjugates = orbit(s.elem_set, lambda cur: [
+            frozenset([perm[x] for x in cur]) for perm in perms])
+        assigned |= conjugates
+        members = tuple(sorted(by_elems[m] for m in conjugates))
         classes.append(SubgroupClass(rep=members[0], members=members))
     classes.sort(key=lambda c: (c.rep.order, c.rep.elems))
     return SubgroupLattice(group=G, all=tuple(subs), classes=tuple(classes),
@@ -450,24 +454,14 @@ def normal_subgroups(G: Group) -> list:
 @memo.once
 def conjugacy_classes(G: Group) -> tuple:
     """Conjugacy classes of elements as sorted tuples, least member first."""
-    gens = G.generators()
-    seen = [False] * G.order
+    perms = [G.conj_perm(g) for g in G.generators()]
+    seen: set = set()
     classes = []
     for x in range(G.order):
-        if seen[x]:
-            continue
-        orbit = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g in gens:
-                z = G.conj_perm(g)[y]
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        for y in orbit:
-            seen[y] = True
-        classes.append(tuple(sorted(orbit)))
+        if x not in seen:
+            cc = orbit(x, lambda y: [perm[y] for perm in perms])
+            seen |= cc
+            classes.append(tuple(sorted(cc)))
     return tuple(classes)
 
 
@@ -606,8 +600,7 @@ def automorphism_count(G: Group) -> int:
 
 # -- constructors ------------------------------------------------------------
 
-def group_from_perm_gens(perm_gens, name: str = "G",
-                         max_order: Optional[int] = None, spec=None) -> Group:
+def group_from_perm_gens(perm_gens, name: str = "G") -> Group:
     """Close a permutation generating set; elements are ordered with the
     identity first and the rest lexicographically by image tuple."""
     gens = [tuple(int(x) for x in p) for p in perm_gens]
@@ -618,7 +611,7 @@ def group_from_perm_gens(perm_gens, name: str = "G",
     ident = tuple(range(degree))
     elems = {ident}
     frontier = [ident]
-    cap = order_cap() if max_order is None else max_order
+    cap = order_cap()
     while frontier:
         nxt = []
         for p in frontier:
@@ -636,36 +629,32 @@ def group_from_perm_gens(perm_gens, name: str = "G",
     n = len(ordered)
     table = [[index[tuple(p[q[x]] for x in range(degree))] for q in ordered]
              for p in ordered]
-    G = Group(table, name=name, perm_gens=tuple(gens), max_order=cap, spec=spec)
-    G.gens = tuple(index[p] for p in gens)
-    return G
+    return Group(table, name=name, gens=tuple(index[p] for p in gens))
 
 
-def _check_order(n: int, max_order: Optional[int]) -> None:
+def _check_order(n: int) -> None:
     """Refuse an order above the cap before any table is built."""
-    cap = order_cap() if max_order is None else max_order
+    cap = order_cap()
     if n > cap:
         raise OrderLimitExceeded(f"order {n} exceeds cap {cap}")
 
 
-def cyclic(n: int, max_order: Optional[int] = None) -> Group:
+def cyclic(n: int) -> Group:
     if n < 1:
         raise NotClosed("cyclic group needs order >= 1")
-    _check_order(n, max_order)
+    _check_order(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    G = Group(table, name=f"C{n}", max_order=max_order, spec=("cyclic", n))
-    G.gens = (1,) if n > 1 else ()
-    return G
+    return Group(table, name=f"C{n}", gens=(1,) if n > 1 else ())
 
 
-def dihedral(order: int, max_order: Optional[int] = None) -> Group:
+def dihedral(order: int) -> Group:
     """Dihedral group of the given (even, >= 2) order: <a, b | a^n, b^2, bab=a^-1>.
 
     Element i + n*j encodes a^i b^j with n = order/2.
     """
     if order < 2 or order % 2:
         raise NotClosed("dihedral group needs even order >= 2")
-    _check_order(order, max_order)
+    _check_order(order)
     n = order // 2
 
     def mul(e1, e2):
@@ -674,12 +663,10 @@ def dihedral(order: int, max_order: Optional[int] = None) -> Group:
         return (i + (k if j == 0 else -k)) % n + n * ((j + l) % 2)
 
     table = [[mul(a, b) for b in range(order)] for a in range(order)]
-    G = Group(table, name=f"D{order}", max_order=max_order, spec=("dihedral", order))
-    G.gens = (1, n) if n > 1 else (n,)
-    return G
+    return Group(table, name=f"D{order}", gens=(1, n) if n > 1 else (n,))
 
 
-def quaternion(order: int = 8, max_order: Optional[int] = None) -> Group:
+def quaternion(order: int = 8) -> Group:
     """The quaternion group <x, y | x^4, y x y^-1 = x^-1, x^2 = y^2>.
 
     Element i + 4*j encodes x^i y^j.  Only order 8 is supported.
@@ -696,37 +683,33 @@ def quaternion(order: int = 8, max_order: Optional[int] = None) -> Group:
         return i2 + 4 * ((j + l) % 2)
 
     table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    G = Group(table, name="Q8", max_order=max_order, spec=("quaternion", 8))
-    G.gens = (1, 4)
-    return G
+    return Group(table, name="Q8", gens=(1, 4))
 
 
-def symmetric(n: int, max_order: Optional[int] = None) -> Group:
+def symmetric(n: int) -> Group:
     """Symmetric group on n points; elements sorted lexicographically."""
     if n < 1:
         raise NotClosed("symmetric group needs n >= 1")
     size = math.factorial(n)
-    cap = order_cap() if max_order is None else max_order
+    cap = order_cap()
     if size > cap:
         raise OrderLimitExceeded(f"S{n} has order {size} > cap {cap}")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[tuple(p[q[x]] for x in range(n))] for q in perms]
              for p in perms]
-    G = Group(table, name=f"S{n}", max_order=cap, spec=("symmetric", n))
+    gens = ()
     if n >= 2:
         transposition = tuple([1, 0] + list(range(2, n)))
         ncycle = tuple(list(range(1, n)) + [0])
-        G.gens = tuple(sorted({index[transposition], index[ncycle]}))
-    else:
-        G.gens = ()
-    return G
+        gens = tuple(sorted({index[transposition], index[ncycle]}))
+    return Group(table, name=f"S{n}", gens=gens)
 
 
 _PRODUCT_REGISTRY = memo.table(None, "direct_product")
 
 
-def direct_product(G: Group, H: Group, max_order: Optional[int] = None) -> Group:
+def direct_product(G: Group, H: Group) -> Group:
     """The direct product with (g, h) stored at index g*|H| + h.
 
     Results are interned so every caller sees the same ambient object.
@@ -737,7 +720,7 @@ def direct_product(G: Group, H: Group, max_order: Optional[int] = None) -> Group
         return cached
     ho = H.order
     n = G.order * ho
-    cap = order_cap() if max_order is None else max_order
+    cap = order_cap()
     if n > cap:
         raise OrderLimitExceeded(f"product order {n} exceeds cap {cap}")
     tg, th = G.table, H.table
@@ -750,9 +733,7 @@ def direct_product(G: Group, H: Group, max_order: Optional[int] = None) -> Group
                 rc = ra[c] * ho
                 for d in range(ho):
                     row[c * ho + d] = rc + rb[d]
-    spec = ("product", G.spec, H.spec) if G.spec and H.spec else None
-    P = Group(table, name=f"{G.name}x{H.name}", factors=(G, H),
-              max_order=cap, spec=spec)
+    P = Group(table, name=f"{G.name}x{H.name}", factors=(G, H))
     _PRODUCT_REGISTRY[key] = P
     return P
 

@@ -54,35 +54,34 @@ def _int_rows(value, what: str) -> list:
     return value
 
 
-def group_from_json(data: dict, max_order=None) -> Group:
+def group_from_json(data: dict) -> Group:
     """Accepts the table, perm_gens, and construct encodings."""
     if not isinstance(data, dict):
         raise WorkbenchError("group JSON must be an object")
     if "table" in data:
         return Group(_int_rows(data["table"], "group table"),
-                     name=data.get("name"), max_order=max_order)
+                     name=data.get("name"))
     if "perm_gens" in data:
         return group_from_perm_gens(_int_rows(data["perm_gens"], "perm_gens"),
-                                    name=data.get("name"),
-                                    max_order=max_order)
+                                    name=data.get("name"))
     if "construct" in data:
         kind = data["construct"]
         args = data.get("args", [])
         if not isinstance(args, list):
             raise WorkbenchError("construct args must be a list")
         if kind == "product":
-            parts = [group_from_json(a, max_order=max_order) for a in args]
+            parts = [group_from_json(a) for a in args]
             if len(parts) < 2:
                 raise WorkbenchError("product construct needs two factors")
             out = parts[0]
             for p in parts[1:]:
-                out = direct_product(out, p, max_order=max_order)
+                out = direct_product(out, p)
             return out
         if not isinstance(kind, str) or kind not in _CONSTRUCTORS:
             raise WorkbenchError(f"unknown construct {kind!r}")
         _ints(args, f"{kind} construct needs integer args")
         try:
-            return _CONSTRUCTORS[kind](*args, max_order=max_order)
+            return _CONSTRUCTORS[kind](*args)
         except TypeError as exc:  # wrong number of args
             raise WorkbenchError(f"{kind} construct: {exc}") from None
     raise WorkbenchError("group JSON needs table, perm_gens, or construct")
@@ -138,6 +137,8 @@ def element_from_json(data: dict, G: Group, H: Group, ambient=None):
     A bare section object counts as a single basis class with coefficient 1.
     """
     from . import gamma
+    if not isinstance(data, dict):
+        raise WorkbenchError("element JSON must be an object")
     if ambient is None:
         ambient = direct_product(G, H)
     if "terms" not in data:

@@ -4,9 +4,11 @@ Every memo table is a plain dict reached through ``table(owner, name)``.
 
 - A per-owner table lives in the owner's ``_memo`` (made by ``tables()``
   in the owner's constructor), so it is keyed by the owner's identity and
-  lives exactly as long as the owner.  Groups compare equal by table
-  digest alone, while groups with equal tables differ in name, generators,
-  factors and coset representatives, so no table is keyed by a group.
+  lives exactly as long as the owner.  The owners are groups, crossed
+  modules and posets (whose joins and Mobius values are memo tables).
+  Groups compare equal by table digest alone, while groups with equal
+  tables differ in name, generators, factors and coset representatives,
+  so no table is keyed by a group.
 - Owner ``None`` selects the process-wide tables, for results that
   belong to no one object (class products, interned direct products, the
   default catalog).  The class-product table is nested, left class id

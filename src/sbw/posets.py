@@ -49,8 +49,7 @@ class FinitePoset:
                     if up[j] & ~up[i]:
                         raise NotInPoset("order is not transitive")
         self.up = up
-        self._join: dict = {}
-        self._mobius: Optional[dict] = None
+        self._memo = memo.tables()
 
     def __len__(self):
         return len(self.elements)
@@ -65,9 +64,10 @@ class FinitePoset:
 
     def join_index(self, i: int, j: int) -> Optional[int]:
         """Index of the join, or None when no least upper bound exists."""
+        joins = memo.table(self, "join")
         key = (i, j) if i <= j else (j, i)
-        if key in self._join:
-            return self._join[key]
+        if key in joins:
+            return joins[key]
         common = self.up[i] & self.up[j]
         found = None
         mask = common
@@ -77,21 +77,20 @@ class FinitePoset:
             if self.up[m] == common:
                 found = m
                 break
-        self._join[key] = found
+        joins[key] = found
         return found
 
     def join(self, x, y):
         m = self.join_index(self.index[x], self.index[y])
         return None if m is None else self.elements[m]
 
+    @memo.once
     def mobius(self) -> dict:
         """{(i, j): mu} over comparable index pairs i <= j.
 
         Within the up-set of i, elements are processed from low to high
         (descending up-set size), so each value only needs earlier ones.
         """
-        if self._mobius is not None:
-            return self._mobius
         n = len(self.elements)
         order = sorted(range(n), key=lambda j: -self.up[j].bit_count())
         mob: dict = {}
@@ -110,7 +109,6 @@ class FinitePoset:
                     if self.up[z] == uj:
                         break
                 mob[(i, j)] = -total
-        self._mobius = mob
         return mob
 
 

@@ -30,6 +30,7 @@ from .groups import (
     direct_product,
     is_normal_in,
     isomorphisms,
+    orbit,
     subgroup_lattice,
 )
 from . import crossed, memo
@@ -130,21 +131,13 @@ def canonical_section(ambient: Group, T: tuple, S: tuple) -> SectionClass:
         cls = SectionClass(ambient, T, S, 1)
         cache[(T, S)] = cls
         return cls
-    gens = ambient.generators()
-    orbit = {(T, S)}
-    queue = [(T, S)]
-    while queue:
-        t_cur, s_cur = queue.pop()
-        for g in gens:
-            perm = ambient.conj_perm(g)
-            img = (tuple(sorted(perm[x] for x in t_cur)),
-                   tuple(sorted(perm[x] for x in s_cur)))
-            if img not in orbit:
-                orbit.add(img)
-                queue.append(img)
-    t_min, s_min = min(orbit)
-    cls = SectionClass(ambient, t_min, s_min, len(orbit))
-    for pair in orbit:
+    perms = [ambient.conj_perm(g) for g in ambient.generators()]
+    pairs = orbit((T, S), lambda ts: [
+        (tuple(sorted([perm[x] for x in ts[0]])),
+         tuple(sorted([perm[x] for x in ts[1]]))) for perm in perms])
+    t_min, s_min = min(pairs)
+    cls = SectionClass(ambient, t_min, s_min, len(pairs))
+    for pair in pairs:
         cache[pair] = cls
     return cls
 

@@ -350,7 +350,7 @@ def test_transport_between_d8_and_q8():
 def test_transport_requires_linked_triples():
     C2 = cg("C2")
     one, full = C2.trivial_subgroup(), C2.full_subgroup()
-    assert classify.bimodule_set((C2, one, one), (C2, full, full)) == ()
+    assert sections.constrained_sections(C2, C2, one, one, full, full) == ()
     with pytest.raises(AxiomFailed):
         classify.transport_check((C2, one, one), (C2, full, full))
 

@@ -129,12 +129,26 @@ def test_compose_rejects_invalid_section(capsys):
                                '{"terms":[{"class":5}]}',
                                '{"T":[0,3],"S":[0,3],"factors":5}',
                                '{"T":[0,3],"S":[0,3],"ambient":5}',
-                               '{"left":5,"terms":[]}'])
+                               '{"left":5,"terms":[]}', '["terms"]'])
 def test_compose_rejects_malformed_elements(capsys, a):
     code, data = run_json(capsys, "compose", "--groups", "C2", "C2", "C2",
                           "--a", a, "--b", IDENT_C2)
     assert code == 1
     assert data["error"]["type"] == "error"
+
+
+@pytest.mark.parametrize("side", ["--a", "--b"])
+@pytest.mark.parametrize("value", ["5", "null", "true"])
+def test_compose_rejects_an_element_file_that_is_not_an_object(
+        capsys, tmp_path, side, value):
+    path = tmp_path / "element.json"
+    path.write_text(value)
+    elements = {"--a": IDENT_C2, "--b": IDENT_C2, side: f"@{path}"}
+    code, data = run_json(capsys, "compose", "--groups", "C2", "C2", "C2",
+                          *(x for kv in elements.items() for x in kv))
+    assert code == 1
+    assert data["error"] == {"message": "element JSON must be an object",
+                             "type": "error"}
 
 
 @pytest.mark.parametrize("term", ['"num":1.5', '"num":"7","den":true',
@@ -216,6 +230,27 @@ def test_non_integer_order_cap_is_reported(capsys, monkeypatch):
     assert code == 1
     assert data["error"]["type"] == "error"
     assert "SBW_MAX_ORDER" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("via_flag", [False, True])
+def test_order_cap_below_one_is_reported(capsys, monkeypatch, via_flag, cap):
+    # The flag sets SBW_MAX_ORDER; setting it first has monkeypatch restore it.
+    monkeypatch.setenv("SBW_MAX_ORDER", "512" if via_flag else cap)
+    flag = ["--unsafe-order", cap] if via_flag else []
+    code, data = run_json(capsys, "group", "info", "--group", "C2", *flag)
+    assert code == 1
+    assert data["error"]["type"] == "error"
+    assert "SBW_MAX_ORDER" in data["error"]["message"]
+
+
+def test_construct_with_too_many_args_reports_the_count(capsys):
+    code, data = run_json(capsys, "group", "info", "--group",
+                          '{"construct":"cyclic","args":[4,5]}')
+    assert code == 1
+    assert data["error"]["type"] == "error"
+    assert "takes 1 positional argument but 2 were given" in \
+        data["error"]["message"]
 
 
 def test_decompose(capsys):

@@ -155,7 +155,8 @@ def test_order_cap_blocks_large_tables(monkeypatch):
     with pytest.raises(OrderLimitExceeded):
         cyclic(5)
     assert cyclic(4).order == 4
-    assert cyclic(600, max_order=600).order == 600
+    monkeypatch.setenv("SBW_MAX_ORDER", "600")
+    assert cyclic(600).order == 600
 
 
 @pytest.mark.parametrize("build, arg", [(cyclic, 1500), (dihedral, 1500),

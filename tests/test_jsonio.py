@@ -66,10 +66,10 @@ def test_group_from_json_rejects_unknown_shapes():
                                 "args": [{"construct": "cyclic", "args": [2]}]})
 
 
-def test_group_from_json_respects_order_cap():
+def test_group_from_json_respects_order_cap(monkeypatch):
+    monkeypatch.setenv("SBW_MAX_ORDER", "6")
     with pytest.raises(WorkbenchError):
-        jsonio.group_from_json({"construct": "cyclic", "args": [7]},
-                               max_order=6)
+        jsonio.group_from_json({"construct": "cyclic", "args": [7]})
 
 
 def test_section_round_trip():
