@@ -316,6 +316,17 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
 
+def shared_subgroup(G: Group, elems: tuple) -> Subgroup:
+    """The unchecked subgroup of G on the ascending tuple ``elems``, one
+    object per (G, elems): section classes hold thousands of references to
+    a few dozen subgroups of their factors."""
+    cache = memo.table(G, "shared_subgroup")
+    hit = cache.get(elems)
+    if hit is None:
+        hit = cache[elems] = Subgroup(G, elems, check=False)
+    return hit
+
+
 def generated_subgroup(G: Group, gens: Sequence[int]) -> Subgroup:
     return Subgroup(G, closure_set(G, tuple(gens)), gens=tuple(gens), check=False)
 

@@ -31,6 +31,7 @@ from .groups import (
     is_normal_in,
     isomorphisms,
     orbit,
+    shared_subgroup,
     subgroup_lattice,
 )
 from . import crossed, memo
@@ -87,19 +88,18 @@ class SectionClass:
             for m in s_rows:
                 q |= m
             self._rows = (t_rows, s_rows,
-                          Subgroup(G, (g for g, m in enumerate(s_rows) if m),
-                                   check=False),
-                          Subgroup(H, bit_indices(q), check=False))
+                          shared_subgroup(G, tuple([g for g, m in
+                                                    enumerate(s_rows) if m])),
+                          shared_subgroup(H, bit_indices(q)))
         return self._rows
 
     def middles(self) -> tuple:
         """(l0, r0) = ((k1(T), p1(S)), (k2(T), p2(S))), built once."""
         if self._middles is None:
             t_rows, _, p1s, p2s = self.rows()
-            k1t = Subgroup(p1s.parent,
-                           (g for g, m in enumerate(t_rows) if m & 1),
-                           check=False)
-            k2t = Subgroup(p2s.parent, bit_indices(t_rows[0]), check=False)
+            k1t = shared_subgroup(p1s.parent, tuple([
+                g for g, m in enumerate(t_rows) if m & 1]))
+            k2t = shared_subgroup(p2s.parent, bit_indices(t_rows[0]))
             self._middles = ((k1t, p1s), (k2t, p2s))
         return self._middles
 

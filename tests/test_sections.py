@@ -204,6 +204,17 @@ def test_constrained_sections_match_brute_force(gid_g, gid_h):
                 == expected, key
 
 
+def test_section_classes_share_their_factor_subgroups():
+    # Classes hold p1(S), p2(S) and their middles as subgroups of the
+    # factors; each distinct one is stored once, not once per class.
+    seen = {}
+    for cls in sections.enumerate_sections(direct_product(cg("S3"), cg("D8"))):
+        subs = cls.rows()[2:] + sections.middle_left(cls) \
+            + sections.middle_right(cls)
+        for sub in subs:
+            assert seen.setdefault((id(sub.parent), sub.elems), sub) is sub
+
+
 def test_star_product_size_of_diagonals():
     C2 = cg("C2")
     X = direct_product(C2, C2)
