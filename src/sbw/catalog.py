@@ -8,8 +8,8 @@ rely on when searching for smaller linked triples.
 from dataclasses import dataclass
 
 from . import memo
-from .errors import OrderLimitExceeded, WorkbenchError
-from .groups import (Group, cyclic, dihedral, direct_product, order_cap,
+from .errors import WorkbenchError
+from .groups import (Group, _check_order, cyclic, dihedral, direct_product,
                      quaternion, symmetric)
 
 
@@ -77,7 +77,5 @@ def default_catalog() -> Catalog:
 
 def build(max_order: int) -> Catalog:
     """Deterministic catalog of the built-in groups up to max_order."""
-    if max_order > order_cap():
-        raise OrderLimitExceeded(
-            f"max_order {max_order} exceeds cap {order_cap()}")
+    _check_order(max_order, what="max_order")
     return default_catalog().restrict(max_order)

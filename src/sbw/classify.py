@@ -65,38 +65,26 @@ def rational_rank(vectors) -> int:
 
 # -- covering basis -----------------------------------------------------------
 
-@dataclass
-class CoveringBasis:
-    """Classes [T, S] of G x G with p1(T) = p2(T) = G and k1(S) = k2(S) = 1.
+@memo.once
+def covering_basis(G: Group) -> tuple:
+    """The classes [T, S] of G x G with p1(T) = p2(T) = G and
+    k1(S) = k2(S) = 1, sorted.
 
     These span the subalgebra where neither side of the factorization
-    through a proper quotient can shrink the group.
+    through a proper quotient can shrink the group.  A class found for the
+    pairs (K, P), (L, Q) has ``middles()`` = ((K, P), (L, Q)).
     """
-    group: Group
-    classes: tuple
-    left_middle: dict     # class -> (K, P) with K = k1(T), P = p1(S)
-    right_middle: dict    # class -> (L, Q) with L = k2(T), Q = p2(S)
-
-
-@memo.once
-def covering_basis(G: Group) -> CoveringBasis:
     pairs = posets.normal_commuting_pairs(G)
     classes = []
-    lm, rm = {}, {}
     for (K, P) in pairs:
         for (L, Q) in pairs:
-            for cls in sections.constrained_sections(G, G, K, P, L, Q):
-                classes.append(cls)
-                lm[cls] = (K, P)
-                rm[cls] = (L, Q)
+            classes.extend(sections.constrained_sections(G, G, K, P, L, Q))
     classes.sort(key=lambda c: c.sort_key())
-    basis = CoveringBasis(group=G, classes=tuple(classes),
-                          left_middle=lm, right_middle=rm)
     for cls in classes:
         if not sections.is_covering(cls):
             raise AxiomFailed("constrained enumeration produced a "
                               "non-covering class")
-    return basis
+    return tuple(classes)
 
 
 # -- linkage partition of the pair poset --------------------------------------
@@ -268,8 +256,7 @@ class BlockReport:
     n: int
     gamma_order: int
     irreducibles: int
-    dim: int              # n^2 * gamma_order
-    covering_count: int   # covering classes carrying this block
+    dim: int              # n^2 * gamma_order, the covering classes carrying it
 
 
 @dataclass
@@ -277,7 +264,6 @@ class MatrixReport:
     group: Group
     covering_dim: int
     blocks: tuple
-    ok: bool = True
 
 
 def matrix_decomposition(G: Group) -> MatrixReport:
@@ -291,14 +277,14 @@ def matrix_decomposition(G: Group) -> MatrixReport:
     basis = covering_basis(G)
     part = linkage_partition(G)
     by_block = {}
-    for cls in basis.classes:
-        bl = part.block_of[basis.left_middle[cls]]
-        br = part.block_of[basis.right_middle[cls]]
-        if bl != br:
+    for cls in basis:
+        l0, r0 = cls.middles()
+        bl = part.block_of[l0]
+        if bl != part.block_of[r0]:
             raise DecompositionMismatch(
                 "covering class has unlinked left and right middles")
         by_block.setdefault(bl, []).append(cls)
-    cindex = {c: i for i, c in enumerate(basis.classes)}
+    cindex = {c: i for i, c in enumerate(basis)}
 
     def as_vector(elt):
         return {cindex[c]: coeff for c, coeff in elt.coeffs.items()}
@@ -366,12 +352,12 @@ def matrix_decomposition(G: Group) -> MatrixReport:
         blocks.append(BlockReport(
             members=members, n=n, gamma_order=gsize,
             irreducibles=irr_count(gammas[0]),
-            dim=n * n * gsize, covering_count=len(supported)))
+            dim=n * n * gsize))
         total += n * n * gsize
-    if total != len(basis.classes):
+    if total != len(basis):
         raise DecompositionMismatch(
-            f"dim E^c = {len(basis.classes)} but block sum is {total}")
-    return MatrixReport(group=G, covering_dim=len(basis.classes),
+            f"dim E^c = {len(basis)} but block sum is {total}")
+    return MatrixReport(group=G, covering_dim=len(basis),
                         blocks=tuple(blocks))
 
 
@@ -456,7 +442,6 @@ class EssentialReport:
     suite build it themselves.
     """
     group: Group
-    statuses: dict
     partition: LinkagePartition
     blocks: tuple
     essential_dim: object     # int, or (lo, hi) with Undetermined blocks
@@ -465,7 +450,7 @@ class EssentialReport:
 
     @property
     def covering_dim(self) -> int:
-        return len(covering_basis(self.group).classes)
+        return len(covering_basis(self.group))
 
 
 _READING_NOTE = (
@@ -515,7 +500,7 @@ def essential_report(G: Group, catalog=None) -> EssentialReport:
             hi += dim
             s_hi += irr
     report = EssentialReport(
-        group=G, statuses=statuses, partition=part, blocks=tuple(blocks),
+        group=G, partition=part, blocks=tuple(blocks),
         essential_dim=lo if lo == hi else (lo, hi),
         simple_count=s_lo if s_lo == s_hi else (s_lo, s_hi),
         notes=_READING_NOTE)
@@ -538,7 +523,7 @@ def _predicted_from_report(report: EssentialReport) -> tuple:
     for cls in sections.enumerate_sections(amb):
         if not sections.is_covering(cls):
             predicted.append(cls)
-        elif verdict_of[sections.middle_left(cls)] == "NotReduced":
+        elif verdict_of[cls.middles()[0]] == "NotReduced":
             predicted.append(cls)
     return tuple(predicted)
 

@@ -256,6 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     withcat.add_argument("--catalog", metavar="SPEC",
                          help="catalog JSON (path, @path, or inline) "
                               "instead of the built-in one")
+    grouped = argparse.ArgumentParser(add_help=False,
+                                      parents=[common, withcat])
+    grouped.add_argument("--group", required=True, metavar="SPEC")
 
     parser = argparse.ArgumentParser(
         prog="sbw",
@@ -264,16 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("group", help="group level queries")
     gsub = g.add_subparsers(dest="action", required=True)
-    p = gsub.add_parser("info", parents=[common, withcat],
+    p = gsub.add_parser("info", parents=[grouped],
                         help="order, classes, subgroups, automorphisms")
-    p.add_argument("--group", required=True, metavar="SPEC")
     p.set_defaults(handler=cmd_group_info)
 
     s = sub.add_parser("sections", help="section classes of a group")
     ssub = s.add_subparsers(dest="action", required=True)
-    p = ssub.add_parser("list", parents=[common, withcat],
+    p = ssub.add_parser("list", parents=[grouped],
                         help="conjugacy classes of pairs S normal in T")
-    p.add_argument("--group", required=True, metavar="SPEC")
     p.add_argument("--with", dest="with_group", metavar="SPEC",
                    help="list sections of the direct product instead")
     p.set_defaults(handler=cmd_sections_list)
@@ -288,33 +289,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="element of the (H, K) space")
     p.set_defaults(handler=cmd_compose)
 
-    p = sub.add_parser("idempotents", parents=[common, withcat],
+    p = sub.add_parser("idempotents", parents=[grouped],
                        help="e and f idempotents over the pair poset")
-    p.add_argument("--group", required=True, metavar="SPEC")
     p.set_defaults(handler=cmd_idempotents)
 
-    p = sub.add_parser("linkage", parents=[common, withcat],
+    p = sub.add_parser("linkage", parents=[grouped],
                        help="linkage partition of the pair poset")
-    p.add_argument("--group", required=True, metavar="SPEC")
     p.set_defaults(handler=cmd_linkage)
 
-    p = sub.add_parser("gamma-group", parents=[common, withcat],
+    p = sub.add_parser("gamma-group", parents=[grouped],
                        help="the finite group carried by a pair (K, P)")
-    p.add_argument("--group", required=True, metavar="SPEC")
     p.add_argument("--K", required=True, metavar="ELEMS",
                    help="comma separated elements of K")
     p.add_argument("--P", required=True, metavar="ELEMS",
                    help="comma separated elements of P")
     p.set_defaults(handler=cmd_gamma_group)
 
-    p = sub.add_parser("decompose", parents=[common, withcat],
+    p = sub.add_parser("decompose", parents=[grouped],
                        help="blockwise dimensions of the covering algebra")
-    p.add_argument("--group", required=True, metavar="SPEC")
     p.set_defaults(handler=cmd_decompose)
 
-    p = sub.add_parser("essential", parents=[common, withcat],
+    p = sub.add_parser("essential", parents=[grouped],
                        help="essential quotient report for one group")
-    p.add_argument("--group", required=True, metavar="SPEC")
     p.add_argument("--oracle", action="store_true",
                    help="row reduce every product through smaller groups")
     p.add_argument("--allow-large", action="store_true",

@@ -205,7 +205,6 @@ def iso_search(src: CrossedModule, dst: CrossedModule,
 @dataclass
 class AutOut:
     """Aut of a crossed module, its inner part and one aut per coset of Inn."""
-    module: CrossedModule
     auts: tuple           # the automorphisms, sorted by their image tuples
     inn: tuple            # sorted indices into `auts` of the inner ones
     theta_images: tuple   # theta(b) as an index into `auts`, per b in B
@@ -239,8 +238,8 @@ def aut_out(cm: CrossedModule) -> AutOut:
                 raise AxiomFailed("inner automorphisms do not partition Aut "
                                   "into cosets")
             seen[j] = 1
-    return AutOut(module=cm, auts=tuple(auts), inn=inn,
-                  theta_images=theta_images, out_reps=tuple(out_reps))
+    return AutOut(auts=tuple(auts), inn=inn, theta_images=theta_images,
+                  out_reps=tuple(out_reps))
 
 
 @dataclass

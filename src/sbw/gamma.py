@@ -108,9 +108,6 @@ class GammaElement:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def support(self) -> list:
-        return sorted(self.nums)
-
     def _plus(self, other, sign: int):
         if not isinstance(other, GammaElement):
             return NotImplemented

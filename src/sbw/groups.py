@@ -97,12 +97,10 @@ class Group:
     """A finite group on ``{0, .., order-1}`` given by its full table.
 
     ``table[a][b]`` is the product ``a*b``.  Index 0 is the identity.
-    ``gens`` records distinguished generators for the named constructors
-    (e.g. the rotation/reflection of a dihedral group); ``factors`` is set
-    on direct products.
+    ``factors`` is set on direct products.
     """
 
-    def __init__(self, table, name: str = "G", factors=None, gens=None,
+    def __init__(self, table, name: str = "G", factors=None,
                  validate: bool = True):
         rows = tuple(tuple(map(int, row)) for row in table)
         _check_order(len(rows))
@@ -115,7 +113,6 @@ class Group:
         # One tuple shared by the keys of all section classes of a product.
         self.factor_digests = (None if factors is None
                                else (factors[0].digest, factors[1].digest))
-        self.gens = gens
         cells = array("H", itertools.chain.from_iterable(rows)).tobytes()
         self.digest = hashlib.blake2b(cells, digest_size=12).hexdigest()
         self._inv = tuple(int(row.index(0)) for row in rows)
@@ -166,8 +163,8 @@ class Group:
         return _least_generators(self.table, range(self.order))
 
     # -- subgroup shorthands ----------------------------------------------
-    def subgroup(self, elems: Iterable[int], gens=None, check: bool = True) -> "Subgroup":
-        return Subgroup(self, elems, gens=gens, check=check)
+    def subgroup(self, elems: Iterable[int]) -> "Subgroup":
+        return Subgroup(self, elems)
 
     @memo.once
     def trivial_subgroup(self) -> "Subgroup":
@@ -255,7 +252,7 @@ class Subgroup:
     """A subgroup of a fixed parent group, stored as a sorted element tuple."""
 
     __slots__ = ("parent", "elems", "elem_set", "order", "gens", "_normal",
-                 "_gen_cache", "_hash")
+                 "_hash")
 
     def __init__(self, parent: Group, elems: Iterable[int], gens=None, check: bool = True):
         self.parent = parent
@@ -265,7 +262,6 @@ class Subgroup:
         self._hash = hash((parent.digest, self.elems))
         self.gens = tuple(gens) if gens is not None else None
         self._normal = None
-        self._gen_cache = None
         if check:
             if not self.elems or self.elems[0] != 0:
                 raise NotSubgroup("subgroup must contain the identity")
@@ -283,11 +279,9 @@ class Subgroup:
 
     def generators(self) -> tuple:
         """A small generating sequence inside the parent's indexing."""
-        if self.gens is not None:
-            return self.gens
-        if self._gen_cache is None:
-            self._gen_cache = _least_generators(self.parent.table, self.elems)
-        return self._gen_cache
+        if self.gens is None:
+            self.gens = _least_generators(self.parent.table, self.elems)
+        return self.gens
 
     def contains(self, other: "Subgroup") -> bool:
         return other.elem_set <= self.elem_set
@@ -411,7 +405,6 @@ class SubgroupLattice:
     group: Group
     all: tuple        # every subgroup, sorted by (order, elems)
     classes: tuple    # conjugacy classes, sorted by (order, rep.elems)
-    by_elems: dict    # frozenset -> Subgroup
 
 
 @memo.once
@@ -453,8 +446,7 @@ def subgroup_lattice(G: Group) -> SubgroupLattice:
         members = tuple(sorted(by_elems[m] for m in conjugates))
         classes.append(SubgroupClass(rep=members[0], members=members))
     classes.sort(key=lambda c: (c.rep.order, c.rep.elems))
-    return SubgroupLattice(group=G, all=tuple(subs), classes=tuple(classes),
-                           by_elems=by_elems)
+    return SubgroupLattice(group=G, all=tuple(subs), classes=tuple(classes))
 
 
 def normal_subgroups(G: Group) -> list:
@@ -637,17 +629,16 @@ def group_from_perm_gens(perm_gens, name: str = "G") -> Group:
         frontier = nxt
     ordered = [ident] + sorted(e for e in elems if e != ident)
     index = {p: i for i, p in enumerate(ordered)}
-    n = len(ordered)
     table = [[index[tuple(p[q[x]] for x in range(degree))] for q in ordered]
              for p in ordered]
-    return Group(table, name=name, gens=tuple(index[p] for p in gens))
+    return Group(table, name=name)
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int, what: str = "order") -> None:
     """Refuse an order above the cap before any table is built."""
     cap = order_cap()
     if n > cap:
-        raise OrderLimitExceeded(f"order {n} exceeds cap {cap}")
+        raise OrderLimitExceeded(f"{what} {n} exceeds cap {cap}")
 
 
 def cyclic(n: int) -> Group:
@@ -655,7 +646,7 @@ def cyclic(n: int) -> Group:
         raise NotClosed("cyclic group needs order >= 1")
     _check_order(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return Group(table, name=f"C{n}", gens=(1,) if n > 1 else ())
+    return Group(table, name=f"C{n}")
 
 
 def dihedral(order: int) -> Group:
@@ -674,7 +665,7 @@ def dihedral(order: int) -> Group:
         return (i + (k if j == 0 else -k)) % n + n * ((j + l) % 2)
 
     table = [[mul(a, b) for b in range(order)] for a in range(order)]
-    return Group(table, name=f"D{order}", gens=(1, n) if n > 1 else (n,))
+    return Group(table, name=f"D{order}")
 
 
 def quaternion(order: int = 8) -> Group:
@@ -694,27 +685,19 @@ def quaternion(order: int = 8) -> Group:
         return i2 + 4 * ((j + l) % 2)
 
     table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return Group(table, name="Q8", gens=(1, 4))
+    return Group(table, name="Q8")
 
 
 def symmetric(n: int) -> Group:
     """Symmetric group on n points; elements sorted lexicographically."""
     if n < 1:
         raise NotClosed("symmetric group needs n >= 1")
-    size = math.factorial(n)
-    cap = order_cap()
-    if size > cap:
-        raise OrderLimitExceeded(f"S{n} has order {size} > cap {cap}")
+    _check_order(math.factorial(n), what=f"S{n} order")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[tuple(p[q[x]] for x in range(n))] for q in perms]
              for p in perms]
-    gens = ()
-    if n >= 2:
-        transposition = tuple([1, 0] + list(range(2, n)))
-        ncycle = tuple(list(range(1, n)) + [0])
-        gens = tuple(sorted({index[transposition], index[ncycle]}))
-    return Group(table, name=f"S{n}", gens=gens)
+    return Group(table, name=f"S{n}")
 
 
 _PRODUCT_REGISTRY = memo.table(None, "direct_product")
@@ -731,9 +714,7 @@ def direct_product(G: Group, H: Group) -> Group:
         return cached
     ho = H.order
     n = G.order * ho
-    cap = order_cap()
-    if n > cap:
-        raise OrderLimitExceeded(f"product order {n} exceeds cap {cap}")
+    _check_order(n, what="product order")
     tg, th = G.table, H.table
     table = [[0] * n for _ in range(n)]
     for a in range(G.order):
@@ -806,14 +787,11 @@ class CosetView:
     elements of coset i in ascending order and ``rep(i)`` the least of them.
     """
 
-    __slots__ = ("parent", "P", "K", "group", "members", "_idx")
+    __slots__ = ("group", "members", "_idx")
 
     def __init__(self, parent: Group, P: Subgroup, K: Subgroup):
         if not is_normal_in(K, P):
             raise NotNormal("kernel part is not normal in its subgroup")
-        self.parent = parent
-        self.P = P
-        self.K = K
         S, to_parent = as_group(P)
         sub_idx = {e: i for i, e in enumerate(to_parent)}
         K_in_S = Subgroup(S, (sub_idx[x] for x in K.elems), check=False)

@@ -55,15 +55,18 @@ def _int_rows(value, what: str) -> list:
 
 
 def group_from_json(data: dict) -> Group:
-    """Accepts the table, perm_gens, and construct encodings."""
+    """Accepts the table, perm_gens, and construct encodings; a table or
+    perm_gens group without a "name" is called "G"."""
     if not isinstance(data, dict):
         raise WorkbenchError("group JSON must be an object")
+    name = data.get("name", "G")
+    if not isinstance(name, str):
+        raise WorkbenchError("group name must be a string")
     if "table" in data:
-        return Group(_int_rows(data["table"], "group table"),
-                     name=data.get("name"))
+        return Group(_int_rows(data["table"], "group table"), name=name)
     if "perm_gens" in data:
         return group_from_perm_gens(_int_rows(data["perm_gens"], "perm_gens"),
-                                    name=data.get("name"))
+                                    name=name)
     if "construct" in data:
         kind = data["construct"]
         args = data.get("args", [])

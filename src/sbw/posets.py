@@ -155,13 +155,6 @@ def build_poset(G: Group) -> FinitePoset:
     return poset
 
 
-def mobius(poset: FinitePoset) -> dict:
-    """Mobius values keyed by pairs of poset elements."""
-    raw = poset.mobius()
-    els = poset.elements
-    return {(els[i], els[j]): v for (i, j), v in raw.items()}
-
-
 def _require_pair(poset: FinitePoset, pair: tuple) -> int:
     idx = poset.index.get(pair)
     if idx is None:

@@ -147,19 +147,17 @@ class Section:
 
     __slots__ = ("ambient", "T", "S")
 
-    def __init__(self, ambient: Group, T: Subgroup, S: Subgroup,
-                 check: bool = True):
+    def __init__(self, ambient: Group, T: Subgroup, S: Subgroup):
         self.ambient = ambient
         self.T = T
         self.S = S
-        if check:
-            if T.parent.digest != ambient.digest or \
-                    S.parent.digest != ambient.digest:
-                raise NotSubgroup("section parts live in a different group")
-            if not T.contains(S):
-                raise NotSubgroup("S is not contained in T")
-            if not is_normal_in(S, T):
-                raise NotNormal("S is not normal in T")
+        if T.parent.digest != ambient.digest or \
+                S.parent.digest != ambient.digest:
+            raise NotSubgroup("section parts live in a different group")
+        if not T.contains(S):
+            raise NotSubgroup("S is not contained in T")
+        if not is_normal_in(S, T):
+            raise NotNormal("S is not normal in T")
 
     def classify(self) -> SectionClass:
         return canonical_section(self.ambient, self.T.elems, self.S.elems)
@@ -254,16 +252,6 @@ def right_invariant(cls: SectionClass) -> tuple:
     _, _, lt, qt = subgroup_parts(cls.ambient, cls.T)
     _, _, ls, qs = subgroup_parts(cls.ambient, cls.S)
     return (qt, lt, qs, ls)
-
-
-def middle_left(cls: SectionClass) -> tuple:
-    """l0 = (k1(T), p1(S))."""
-    return cls.middles()[0]
-
-
-def middle_right(cls: SectionClass) -> tuple:
-    """r0 = (k2(T), p2(S))."""
-    return cls.middles()[1]
 
 
 def is_covering(cls: SectionClass) -> bool:

@@ -18,10 +18,10 @@ from typing import Callable
 
 from . import classify, crossed, gamma, posets, sections
 from .catalog import default_catalog
-from .errors import WorkbenchError
-from .groups import (Group, automorphism_count, double_cosets,
-                     generated_subgroup, normal_subgroups, product_set,
-                     quotient, subgroup_lattice)
+from .errors import ConditionViolated, WorkbenchError
+from .groups import (Group, automorphism_count, direct_product,
+                     double_cosets, generated_subgroup, normal_subgroups,
+                     product_set, quotient, subgroup_lattice)
 
 
 @dataclass
@@ -137,7 +137,6 @@ _GOURSAT_IDS = ("C1", "C2", "C3", "C4", "C2xC2", "S3")
 
 
 def suite_goursat(max_order: int = 8, catalog=None) -> list:
-    from .groups import direct_product
     out = []
     cat = {gid: G for gid, G in _groups(max_order, catalog)}
     ids = [g for g in _GOURSAT_IDS if g in cat]
@@ -160,7 +159,6 @@ def suite_goursat(max_order: int = 8, catalog=None) -> list:
                  "goursat-roundtrip", roundtrip)
 
             def crossmatch(X=X):
-                from .errors import ConditionViolated
                 quints = []
                 for cls in sections.enumerate_sections(X):
                     T, S = cls.subgroups()
@@ -209,7 +207,6 @@ def _random_section_class(rng: random.Random, X: Group) -> sections.SectionClass
 
 
 def suite_mackey(max_order: int = 8, catalog=None, samples: int = 1000) -> list:
-    from .groups import direct_product
     out = []
     all_groups = _groups(max_order, catalog)
     small = [(gid, G) for gid, G in all_groups if G.order <= 3]
@@ -358,13 +355,13 @@ def _class_actions(b, pairs, lefts, rights, want_l, want_r) -> None:
     wants[l0] and wants[r0] of ``_join_wants``; shared by both modes."""
     joins_l, scales_l, counts_l, _ = want_l
     joins_r, scales_r, _, counts_r = want_r
-    for prods, middle, joins, counts, scales in (
-            (lefts, sections.middle_left, joins_l, counts_l, scales_l),
-            (rights, sections.middle_right, joins_r, counts_r, scales_r)):
+    for prods, side, joins, counts, scales in (
+            (lefts, 0, joins_l, counts_l, scales_l),
+            (rights, 1, joins_r, counts_r, scales_r)):
         for z, prod, join, count, scale in zip(
                 pairs, prods, joins, counts, scales, strict=True):
             (cls, m), = prod.items()
-            assert middle(cls) == join, (z, b.key)
+            assert cls.middles()[side] == join, (z, b.key)
             assert m == count, (z, b.key)
             if scale:
                 assert cls == b and m == scale, (z, b.key)
@@ -400,7 +397,7 @@ def _central_split(terms, lefts, rights, den: int, b) -> list:
     return sums
 
 
-def _idempotents_common(out: list, gid: str, G: Group, pairs, poset, es, ecls):
+def _idempotents_common(out: list, gid: str, G: Group, pairs, poset, ecls):
     """e-join grid with multiplicities; shared by both modes."""
     def grid():
         n = 0
@@ -424,9 +421,8 @@ def _idempotents_self_opposite(out: list, gid: str, G: Group, basis, ecls):
     """b o b^op = |G:Q| [e_l0] for each covering class; shared by both modes."""
     def self_opposite():
         n = 0
-        for b in basis.classes:
-            r0 = basis.right_middle[b]
-            l0 = basis.left_middle[b]
+        for b in basis:
+            l0, r0 = b.middles()
             prod = gamma.class_product(b, sections.opposite_class(b))
             scale = Fraction(G.order, r0[1].order)
             assert prod == {ecls[l0][0]: scale}, b.key
@@ -449,7 +445,7 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
         return [sum((elems[p] for p in block), gamma.zero(G, G))
                 for block in part.blocks]
 
-    _idempotents_common(out, gid, G, pairs, poset, es, ecls)
+    _idempotents_common(out, gid, G, pairs, poset, ecls)
 
     def f_laws():
         n = 0
@@ -488,16 +484,16 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
          "linkage-class-sums", class_sums)
 
     def covering_action():
-        l0s, r0s = basis.left_middle, basis.right_middle
-        want = _join_wants(G, pairs, poset, [*l0s.values(), *r0s.values()])
+        middles = [b.middles() for b in basis]
+        want = _join_wants(G, pairs, poset, [m for lr in middles for m in lr])
         e_classes = [ecls[z][0] for z in pairs]
-        # lefts[i][j] = E_z o b for z = pairs[i], b = basis.classes[j].
-        lefts = [gamma.compose_row(Ez, basis.classes) for Ez in e_classes]
-        for b, col in zip(basis.classes, zip(*lefts)):
+        # lefts[i][j] = E_z o b for z = pairs[i], b = basis[j].
+        lefts = [gamma.compose_row(Ez, basis) for Ez in e_classes]
+        for b, (l0, r0), col in zip(basis, middles, zip(*lefts)):
             _class_actions(b, pairs, col, gamma.compose_row(b, e_classes),
-                           want[l0s[b]], want[r0s[b]])
-        n = len(pairs) * len(basis.classes)
-        return f"{n} class actions over {len(basis.classes)} covering classes"
+                           want[l0], want[r0])
+        n = len(pairs) * len(basis)
+        return f"{n} class actions over {len(basis)} covering classes"
     _run(out, "idempotents", f"{gid} covering class actions",
          "covering-left-action", covering_action)
 
@@ -509,16 +505,16 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
         pos = {cls: k for k, cls in enumerate(support)}
         terms = [[(pos[cls], q * (den // f.den)) for cls, q in f.nums.items()]
                  for f in fX]
-        # rows[k][j] = E_k o b for E_k = support[k], b = basis.classes[j].
-        rows = [gamma.compose_row(c, basis.classes) for c in support]
+        # rows[k][j] = E_k o b for E_k = support[k], b = basis[j].
+        rows = [gamma.compose_row(c, basis) for c in support]
         # f_X b f_Y = b f_X f_Y once centrality holds, so the quadratic
         # sweep over (X, Y) only runs where the basis is small.
-        explicit = len(basis.classes) <= _TWO_SIDED_LIMIT
+        explicit = len(basis) <= _TWO_SIDED_LIMIT
         row_sums: dict = {}  # class uid -> den * (d o f_Y), per block Y
         n = 0
-        for b, lefts in zip(basis.classes, zip(*rows)):
-            assert part.block_of[basis.left_middle[b]] == \
-                part.block_of[basis.right_middle[b]], b.key
+        for b, lefts in zip(basis, zip(*rows)):
+            l0, r0 = b.middles()
+            assert part.block_of[l0] == part.block_of[r0], b.key
             comps = _central_split(terms, lefts,
                                    gamma.compose_row(b, support), den, b)
             n += 2 * len(fX)
@@ -560,10 +556,11 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
     pairs, poset, es, ecls = _e_data(G)
     part = classify.linkage_partition(G)
     basis = classify.covering_basis(G)
-    index = {p: i for i, p in enumerate(pairs)}
-    mob = posets.mobius(poset)
+    # poset.elements are the pairs in this order, so mob is keyed by the
+    # positions of pairs.
+    mob = poset.mobius()
 
-    _idempotents_common(out, gid, G, pairs, poset, es, ecls)
+    _idempotents_common(out, gid, G, pairs, poset, ecls)
 
     def join_lattice():
         n = len(pairs)
@@ -581,32 +578,31 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
         # phi_w(e_z) = [z <= w] is multiplicative once products follow the
         # verified join grid; f orthogonality reduces to phi_w(f_x) = [x == w].
         n = len(pairs)
-        for x in pairs:
+        for x in range(n):
             row = [0] * n
-            for z in pairs:
+            for z in range(n):
                 mz = mob.get((x, z), 0)
                 if not mz:
                     continue
-                # poset.elements are the pairs in this order.
-                up = poset.up[index[z]]
+                up = poset.up[z]
                 while up:
                     w_i = (up & -up).bit_length() - 1
                     up &= up - 1
                     row[w_i] += mz
             want = [0] * n
-            want[index[x]] = 1
-            assert row == want, x
+            want[x] = 1
+            assert row == want, pairs[x]
         bottom = (G.trivial_subgroup(), G.full_subgroup())
         ident = gamma.identity_element(G)
         assert es[bottom] == ident
         total = {}
-        for x in pairs:
-            for z in pairs:
+        for x in range(n):
+            for z in range(n):
                 mz = mob.get((x, z), 0)
                 if mz:
                     total[z] = total.get(z, 0) + mz
         total = {z: c for z, c in total.items() if c}
-        assert total == {bottom: 1}
+        assert total == {poset.index[bottom]: 1}
         for block in part.blocks:
             for a in block:
                 for b in block:
@@ -617,15 +613,14 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
 
     def witness_action():
         by_l0 = {}
-        for c in basis.classes:
-            l0 = basis.left_middle[c]
+        for c in basis:
+            l0 = c.middles()[0]
             old = by_l0.get(l0)
             if old is None or c.sort_key() < old.sort_key():
                 by_l0[l0] = c
         witnesses = list(by_l0.values())
-        want = _join_wants(G, pairs, poset, [
-            m for b in witnesses
-            for m in (basis.left_middle[b], basis.right_middle[b])])
+        want = _join_wants(G, pairs, poset,
+                           [m for b in witnesses for m in b.middles()])
         e_classes = [ecls[z][0] for z in pairs]
         # lefts[i][j] = E_z o b for z = pairs[i], b = witnesses[j].
         lefts = [gamma.compose_row(Ez, witnesses) for Ez in e_classes]
@@ -636,13 +631,12 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
             acc = {}
             for x in block:
                 for i, z in enumerate(pairs):
-                    mz = mob.get((x, z))
+                    mz = mob.get((poset.index[x], i))
                     if mz:
                         acc[i] = acc.get(i, 0) + mz * z[1].order
             terms.append([(i, q) for i, q in acc.items() if q])
         for b, col in zip(witnesses, zip(*lefts)):
-            l0 = basis.left_middle[b]
-            r0 = basis.right_middle[b]
+            l0, r0 = b.middles()
             assert part.block_of[l0] == part.block_of[r0], b.key
             mirrors = gamma.compose_row(b, e_classes)
             _class_actions(b, pairs, col, mirrors, want[l0], want[r0])
@@ -661,7 +655,7 @@ def suite_idempotents(max_order: int = 8, catalog=None) -> list:
     out = []
     for gid, G in _groups(max_order, catalog):
         basis = classify.covering_basis(G)
-        if len(basis.classes) <= _FULL_COVERING_LIMIT:
+        if len(basis) <= _FULL_COVERING_LIMIT:
             _idempotents_full(out, gid, G)
         else:
             _idempotents_witness(out, gid, G)
@@ -901,7 +895,6 @@ def suite_seeds(max_order: int = 8, catalog=None) -> list:
 
     if {"Q8", "D8"} <= set(cat.ids()):
         def invariants():
-            from .groups import direct_product
             Q8 = cat.by_id("Q8").group
             D8 = cat.by_id("D8").group
             X = direct_product(Q8, D8)

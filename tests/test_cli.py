@@ -76,6 +76,23 @@ def test_group_info_rejects_malformed_group_json(capsys, spec):
     assert data["error"]["type"] == "error"
 
 
+@pytest.mark.parametrize("spec", ['{"table":[[0,1],[1,0]]}',
+                                  '{"perm_gens":[[1,0]]}'])
+def test_group_json_without_a_name_is_called_g(capsys, spec):
+    code, data = run_json(capsys, "group", "info", "--group", spec)
+    assert code == 0
+    assert data["group"]["name"] == "G"
+
+
+@pytest.mark.parametrize("name", ["5", "null", '["x"]'])
+def test_group_json_name_must_be_a_string(capsys, name):
+    spec = f'{{"table":[[0,1],[1,0]],"name":{name}}}'
+    code, out = run(capsys, "group", "info", "--group", spec)
+    assert code == 1
+    assert out == ('{"error":{"message":"group name must be a string",'
+                   '"type":"error"}}\n')
+
+
 def test_group_info_from_file(capsys, tmp_path):
     path = tmp_path / "klein.json"
     path.write_text(json.dumps({"construct": "product",
@@ -244,6 +261,29 @@ def test_order_cap_below_one_is_reported(capsys, monkeypatch, via_flag, cap):
     assert "SBW_MAX_ORDER" in data["error"]["message"]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("group", "info", "--group", '{"construct":"symmetric","args":[4]}',
+      "--unsafe-order", "10"), "S4 order 24 exceeds cap 10"),
+    (("sections", "list", "--group", '{"construct":"cyclic","args":[2]}',
+      "--with", '{"construct":"cyclic","args":[4]}', "--unsafe-order", "4"),
+     "product order 8 exceeds cap 4"),
+    (("catalog", "build", "--max-order", "600"),
+     "max_order 600 exceeds cap 512"),
+])
+def test_order_cap_pre_checks_name_the_order_and_the_cap(argv, message):
+    # A new process: an in-process run may hold C2 x C4 interned already,
+    # and an interned product is returned without a second cap check.
+    src = os.path.dirname(os.path.dirname(sbw.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SBW_MAX_ORDER", None)
+    proc = subprocess.run([sys.executable, "-m", "sbw", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {
+        "error": {"message": message, "type": "order_limit_exceeded"}}
+
+
 def test_construct_with_too_many_args_reports_the_count(capsys):
     code, data = run_json(capsys, "group", "info", "--group",
                           '{"construct":"cyclic","args":[4,5]}')
@@ -393,7 +433,15 @@ def test_custom_catalog_flag(capsys, tmp_path):
 def test_usage_errors_exit_two(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
-    assert cli.main(["sections", "list"]) == 2
+    # Every subcommand that reads a group needs --group.
+    for argv in (["group", "info"], ["sections", "list"], ["idempotents"],
+                 ["linkage"], ["gamma-group", "--K", "0", "--P", "0"],
+                 ["decompose"], ["essential"]):
+        assert cli.main(argv) == 2, argv
+        capsys.readouterr()
+    cat = ('{"groups":[{"id":"C2","group":{"construct":"cyclic",'
+           '"args":[2]}}],"complete_orders":[1,2]}')
+    assert cli.main(["linkage", "--group", "C2", "--catalog", cat]) == 0
     capsys.readouterr()
     assert cli.main(["--help"]) == 0
     capsys.readouterr()

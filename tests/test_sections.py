@@ -132,8 +132,8 @@ def test_opposite_class_is_an_involution_and_swaps_sides():
     for cls in sections.enumerate_sections(X):
         op = sections.opposite_class(cls)
         assert sections.opposite_class(op).key == cls.key
-        assert sections.middle_left(cls) == sections.middle_right(op)
-        assert sections.middle_right(cls) == sections.middle_left(op)
+        assert cls.middles()[0] == op.middles()[1]
+        assert cls.middles()[1] == op.middles()[0]
 
 
 def test_left_and_right_invariants_of_the_q8_d8_section():
@@ -178,9 +178,8 @@ def test_constrained_sections_find_the_q8_d8_bimodule():
     found = sections.constrained_sections(Q8, D8, K, P, L, Q)
     assert found
     for cls in found:
-        mk, mp = sections.middle_left(cls)
+        (mk, mp), (ml, mq) = cls.middles()
         assert (mk.elems, mp.elems) == (K.elems, P.elems)
-        ml, mq = sections.middle_right(cls)
         assert (ml.elems, mq.elems) == (L.elems, Q.elems)
 
 
@@ -193,7 +192,7 @@ def test_constrained_sections_match_brute_force(gid_g, gid_h):
     by_middles = {}
     for cls in sections.enumerate_sections(direct_product(G, H)):
         if sections.is_covering(cls):
-            middles = sections.middle_left(cls) + sections.middle_right(cls)
+            middles = cls.middles()[0] + cls.middles()[1]
             by_middles.setdefault(tuple(m.elems for m in middles),
                                   []).append(cls)
     for K, P in posets.normal_commuting_pairs(G):
@@ -209,8 +208,7 @@ def test_section_classes_share_their_factor_subgroups():
     # factors; each distinct one is stored once, not once per class.
     seen = {}
     for cls in sections.enumerate_sections(direct_product(cg("S3"), cg("D8"))):
-        subs = cls.rows()[2:] + sections.middle_left(cls) \
-            + sections.middle_right(cls)
+        subs = cls.rows()[2:] + cls.middles()[0] + cls.middles()[1]
         for sub in subs:
             assert seen.setdefault((id(sub.parent), sub.elems), sub) is sub
 

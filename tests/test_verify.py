@@ -117,8 +117,7 @@ def test_covering_checks_catch_a_wrong_product(monkeypatch, wrong_side):
     Ez = gamma.e_class(G, *pairs[0])
     # A b that is no E class, so the products among E classes, which the
     # e and f laws read and cache in the elements, stay right.
-    b = next(c for c in classify.covering_basis(G).classes
-             if c not in e_classes)
+    b = next(c for c in classify.covering_basis(G) if c not in e_classes)
     left, right = (Ez, b) if wrong_side == "E_z o b" else (b, Ez)
     compose_row = gamma.compose_row
 
