@@ -10,7 +10,6 @@ of producing a report.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import crossed, gamma, memo, posets, sections
 from .errors import (AxiomFailed, DecompositionMismatch, IncompleteCatalog,
@@ -194,7 +193,7 @@ def gamma_group(G: Group, K: Subgroup, P: Subgroup) -> GammaGroup:
     key = (K.elems, P.elems)
     if key in cache:
         return cache[key]
-    if not crossed.in_poset(G, K, P):
+    if not crossed.in_poset(K, P):
         raise NotInPoset("gamma_group needs normal K, P with [K, P] = 1")
     found = sections.constrained_sections(G, G, K, P, K, P)
     e = gamma.e_class(G, K, P)
@@ -369,7 +368,6 @@ class ReducedStatus:
     verdict: str            # Reduced | NotReduced | Undetermined
     rule: str               # KleP | PltK | PKeqG | NecessaryViolated |
                             # SmallerLinked | Exhausted
-    witness: Optional[tuple] = None
 
 
 def _catalog_groups(catalog):
@@ -402,14 +400,13 @@ def reduced_status(G: Group, pair, catalog=None) -> ReducedStatus:
             return ReducedStatus(pair=pair, verdict="NotReduced",
                                  rule="NecessaryViolated")
     groups = _catalog_groups(catalog)
-    for gid, H in groups:
+    for _, H in groups:
         if H.order >= G.order:
             continue
         for (L, Q) in posets.normal_commuting_pairs(H):
             if crossed.linked(G, K, P, H, L, Q) is not None:
-                return ReducedStatus(
-                    pair=pair, verdict="NotReduced", rule="SmallerLinked",
-                    witness=(gid, (L.elems, Q.elems)))
+                return ReducedStatus(pair=pair, verdict="NotReduced",
+                                     rule="SmallerLinked")
     present = {H.order for _, H in groups if H.order < G.order}
     missing = [m for m in range(1, G.order) if m not in present]
     if missing:

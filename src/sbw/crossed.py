@@ -118,7 +118,7 @@ def conj_crossed_module(parent: Group, P1: Subgroup, K1: Subgroup,
     return CrossedModule(A, B, boundary, action)
 
 
-def in_poset(G: Group, K: Subgroup, P: Subgroup) -> bool:
+def in_poset(K: Subgroup, P: Subgroup) -> bool:
     """Whether (K, P) is a pair of normal subgroups with [K, P] = 1."""
     return K.is_normal() and P.is_normal() and commute_elementwise(K, P)
 
@@ -130,7 +130,7 @@ def from_pair(G: Group, K: Subgroup, P: Subgroup) -> CrossedModule:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if not in_poset(G, K, P):
+    if not in_poset(K, P):
         raise NotInPoset(f"({K.elems}, {P.elems}) is not a commuting normal pair")
     cm = conj_crossed_module(G, G.full_subgroup(), K, P, G.trivial_subgroup())
     cache[key] = cm

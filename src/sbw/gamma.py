@@ -413,7 +413,7 @@ def deflation(G: Group, N: Subgroup) -> GammaElement:
 
 def e_class(G: Group, K: Subgroup, P: Subgroup) -> SectionClass:
     """The class of (Delta_K(G), Delta(P)) for a commuting normal pair."""
-    if not crossed.in_poset(G, K, P):
+    if not crossed.in_poset(K, P):
         raise NotInPoset("(K, P) must be a commuting pair of normal subgroups")
     ambient = direct_product(G, G)
     n = G.order

@@ -472,21 +472,33 @@ def _s_candidates(ambient: Group, P: Subgroup, Q: Subgroup) -> tuple:
     return hit
 
 
+def _constrained_pairs(ambient: Group, K: Subgroup, P: Subgroup,
+                       L: Subgroup, Q: Subgroup):
+    """Yield (T, S) elems of each covering section of G x H with
+    l0 = (K, P) and r0 = (L, Q); conjugate pairs may both be yielded.
+
+    T is the graph of an iso etaT: H/L -> G/K and S that of an iso
+    etaS: Q -> P, built once per (K, L) and per (P, Q).  They fit when
+    gi[alpha(q)] == etaT(qL) on the generators q of Q, and a fitting pair
+    is yielded when S is normal in T, tested on the generators of both.
+    """
+    gi, ts = _t_candidates(ambient, K, L)
+    q_gens, ss = _s_candidates(ambient, P, Q)
+    by_key: dict = {}
+    for eta, t_elems, t_gens in ts:
+        by_key.setdefault(tuple([eta[q] for q in q_gens]),
+                          []).append((t_elems, t_gens))
+    conj = ambient.conj
+    for alpha, s_set, s_sorted, s_gens in ss:
+        for t_elems, t_gens in by_key.get(tuple([gi[a] for a in alpha]), ()):
+            if all(conj(t, s) in s_set for t in t_gens for s in s_gens):
+                yield t_elems, s_sorted
+
+
 def constrained_sections(G: Group, H: Group, K: Subgroup, P: Subgroup,
                          L: Subgroup, Q: Subgroup) -> tuple:
-    """Classes of covering sections of G x H with l0 = (K, P), r0 = (L, Q).
-
-    These have T with quintuple (G, K, etaT, L, H) and S with quintuple
-    (P, 1, etaS, 1, Q), so the search runs over pairs of isomorphisms
-    instead of the full subgroup lattice of the product.  Only meaningful
-    when K, P are normal in G and L, Q normal in H (the covering case).
-
-    The graphs T of all etaT, with their generators, are built once per
-    (K, L), and the graphs S of all etaS once per (P, Q).  A call joins
-    the two lists: etaT and etaS fit when gi[alpha(q)] == etaT(qL) on the
-    generators q of Q, and a fitting pair gives a class when S is normal
-    in T, which is tested on the generators of both.
-    """
+    """Classes of covering sections of G x H with l0 = (K, P), r0 = (L, Q),
+    for K, P normal in G and L, Q normal in H, sorted canonically."""
     # etaT: H/L -> G/K and etaS: Q -> P are isomorphisms, so unequal
     # orders leave no class at all.
     if G.order // K.order != H.order // L.order or P.order != Q.order:
@@ -495,24 +507,22 @@ def constrained_sections(G: Group, H: Group, K: Subgroup, P: Subgroup,
     cache = memo.table(ambient, "constrained_sections")
     key = (K.elems, P.elems, L.elems, Q.elems)
     hit = cache.get(key)
-    if hit is not None:
-        return hit
-    gi, ts = _t_candidates(ambient, K, L)
-    q_gens, ss = _s_candidates(ambient, P, Q)
-    out = set()
-    if ts and ss:
-        by_key: dict = {}
-        for eta, t_elems, t_gens in ts:
-            by_key.setdefault(tuple([eta[q] for q in q_gens]),
-                              []).append((t_elems, t_gens))
-        conj = ambient.conj
-        for alpha, s_set, s_sorted, s_gens in ss:
-            fits = by_key.get(tuple([gi[a] for a in alpha]))
-            if fits is None:
-                continue
-            for t_elems, t_gens in fits:
-                if all(conj(t, s) in s_set for t in t_gens for s in s_gens):
-                    out.add(canonical_section(ambient, t_elems, s_sorted))
-    result = tuple(sorted(out, key=SectionClass.sort_key))
-    cache[key] = result
-    return result
+    if hit is None:
+        cache[key] = hit = tuple(sorted(
+            {canonical_section(ambient, t, s)
+             for t, s in _constrained_pairs(ambient, K, P, L, Q)},
+            key=SectionClass.sort_key))
+    return hit
+
+
+def has_constrained_section(G: Group, H: Group, K: Subgroup, P: Subgroup,
+                            L: Subgroup, Q: Subgroup) -> bool:
+    """Whether ``constrained_sections(G, H, K, P, L, Q)`` is not empty.
+
+    A class exists exactly when ``_constrained_pairs`` yields a pair: each
+    class there is the class of a yielded pair, and each yielded pair is a
+    section with these middles.  Stops at the first pair; builds no class.
+    """
+    if G.order // K.order != H.order // L.order or P.order != Q.order:
+        return False
+    return any(_constrained_pairs(direct_product(G, H), K, P, L, Q))

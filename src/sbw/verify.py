@@ -716,15 +716,11 @@ def suite_linkage(max_order: int = 8, catalog=None) -> list:
             def agree(G=G, H=H):
                 pg = posets.normal_commuting_pairs(G)
                 ph = posets.normal_commuting_pairs(H)
-                n = mism = 0
-                for K, P in pg:
-                    for L, Q in ph:
-                        by_iso = crossed.linked(G, K, P, H, L, Q) is not None
-                        by_sec = bool(sections.constrained_sections(
-                            G, H, K, P, L, Q))
-                        if by_iso != by_sec:
-                            mism += 1
-                        n += 1
+                n = len(pg) * len(ph)
+                mism = sum((crossed.linked(G, K, P, H, L, Q) is not None)
+                           != sections.has_constrained_section(
+                               G, H, K, P, L, Q)
+                           for K, P in pg for L, Q in ph)
                 assert mism == 0, f"{mism} of {n} disagree"
                 return f"{n} pair combinations agree"
             _run(out, "linkage", f"{ga} vs {gb} two linkage routes",

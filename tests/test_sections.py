@@ -201,6 +201,8 @@ def test_constrained_sections_match_brute_force(gid_g, gid_h):
             expected = tuple(sorted(by_middles.get(key, ())))
             assert sections.constrained_sections(G, H, K, P, L, Q) \
                 == expected, key
+            assert sections.has_constrained_section(G, H, K, P, L, Q) \
+                == bool(expected), key
 
 
 def test_section_classes_share_their_factor_subgroups():

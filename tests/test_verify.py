@@ -106,6 +106,26 @@ def test_a_suite_survives_a_bug_in_every_check(monkeypatch):
     assert all(not c.ok and c.tag == "internal-error" for c in checks)
 
 
+def test_linkage_asks_the_section_route(monkeypatch):
+    # Flip the section route's answer for one combination of C2 x C2: the
+    # two routes then disagree there, and only that check fails.
+    real = verify.sections.has_constrained_section
+
+    def flipped(G, H, K, P, L, Q):
+        found = real(G, H, K, P, L, Q)
+        if G.order == H.order == 2 and \
+                K.elems == P.elems == L.elems == Q.elems == (0,):
+            return not found
+        return found
+
+    monkeypatch.setattr(verify.sections, "has_constrained_section", flipped)
+    checks = verify.suite_linkage(max_order=2)
+    n = len(posets.normal_commuting_pairs(CAT.by_id("C2").group)) ** 2
+    assert len(checks) == 3
+    assert [(c.name, c.detail) for c in checks if not c.ok] == [
+        ("C2 vs C2 two linkage routes", f"AssertionError: 1 of {n} disagree")]
+
+
 @pytest.mark.parametrize("wrong_side", ["E_z o b", "b o E_z"])
 def test_covering_checks_catch_a_wrong_product(monkeypatch, wrong_side):
     G = CAT.by_id("C2xC2").group
