@@ -9,23 +9,21 @@ is the bilinear extension of
 
 where * is relational composition and (t,1) twists the left coordinate.
 ``class_products`` is the class-level kernel: one left class against a
-sequence of right classes.  It keeps two memos (see ``memo``): the double
-cosets of each middle group as (conjugation perm, count) pairs, keyed by
-the two subgroups, and the product class of each ambient, keyed by its
-(T rows, S rows).  ``class_product`` is the kernel on one pair.
-``compose_row(a, bs)`` is the memoized batched entry point: it keeps
-each product in a process-wide table, left class id -> {right class id:
-product}, so a row costs one dict fetch and an int-keyed ``get`` per b,
-and hands a row's misses to ``class_products`` in one call.
-``compose_classes`` is its one-pair case.  ``compose`` sums, for each
-class of its left operand, that class's row against the right operand's
-numerators, and keeps the row sum in the right operand (see ``compose``).
-Callers whose products never repeat
+batch of right classes.  Within a batch it computes each relational
+half-product once per (twist, row tuple); across batches it keeps the
+double cosets of each middle group as (conjugation perm, count) pairs and
+the product class of each ambient by its (T rows, S rows) (see ``memo``).
+``class_product`` is the kernel on one pair.  ``compose_row(a, bs)`` is
+the memoized entry point: it keeps each product in a process-wide table,
+left class id -> {right class id: product}, and hands a row's misses to
+``class_products`` in one call; ``compose_classes`` is its one-pair case.
+``compose`` sums, for each class of its left operand, that class's row
+against the right operand's numerators, and keeps the row sum in the right
+operand (see ``compose``).  Callers whose products never repeat
 (``classify.gamma_group`` and the span oracle) call ``class_products`` and
-keep no pair in that table; ``gamma_group`` composes only the rows of e
-and of its generators and derives the rest by associativity.  All
-coefficients are exact: a ``GammaElement`` holds integer numerators over
-one denominator, and ``compose`` builds no ``Fraction``.
+keep no pair in that table.  All coefficients are exact: a
+``GammaElement`` holds integer numerators over one denominator, and
+``compose`` builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -239,9 +237,11 @@ def class_products(a: SectionClass, bs) -> list:
     ``sections.star`` and ``sections.conj_left`` are the same operations
     on ``Subgroup`` objects.
 
-    a's rows are expanded to bit indices once for the whole batch.  Two
-    memos serve it: the double cosets as (perm, count) pairs per middle
-    group and pair of subgroups (``_twists``), and the product class per
+    a's rows are expanded to bit indices once per batch and read through
+    each distinct twist perm once.  Ta * (t,1)Tb depends only on the perm
+    and Tb's rows, and Sa * (t,1)Sb only on the perm and Sb's rows, so a
+    batch of more than one b computes each half once per (perm, rows).
+    Two memos outlive the batch: ``_twists``, and the product class per
     ambient and pair of row tuples, so that a repeated product skips
     ``canonical_section``.  Returns one dict per b, in order; equal to
     ``[class_product(a, b) for b in bs]``.
@@ -250,10 +250,12 @@ def class_products(a: SectionClass, bs) -> list:
     ta, sa, _, p2sa = a.rows()
     ta_bits = [BYTE_BITS[m] if m < 256 else bit_indices(m) for m in ta]
     sa_bits = [BYTE_BITS[m] if m < 256 else bit_indices(m) for m in sa]
-    # p1(Sb) -> [(Ta's bits read through perm, Sa's likewise, count)], so
-    # that _star on b's own rows gives the products with the twisted rows.
-    plans: dict = {}
-    identity = tuple(range(H.order))
+    # perm -> (Ta's bits read through perm, Sa's likewise, Tb rows -> Ta
+    # half, Sb rows -> Sa half), kept only if more than one b may share
+    # them; entries and halves are non-empty tuples, so ``or`` is a miss.
+    twisted = {tuple(range(H.order)): (ta_bits, sa_bits, {}, {})}
+    plans: dict = {}  # p1(Sb) -> [(twisted entry, count)]
+    share = len(bs) > 1
     ambient = by_rows = None
     out = []
     for b in bs:
@@ -268,14 +270,19 @@ def class_products(a: SectionClass, bs) -> list:
         tb, sb, p1sb, _ = b.rows()
         plan = plans.get(p1sb.elems)
         if plan is None:
-            plan = plans[p1sb.elems] = [
-                (ta_bits, sa_bits, count) if perm == identity else
-                ([[perm[x] for x in bits] for bits in ta_bits],
-                 [[perm[x] for x in bits] for bits in sa_bits], count)
-                for perm, count in _twists(H, p2sa, p1sb)]
+            plan = plans[p1sb.elems] = []
+            for perm, count in _twists(H, p2sa, p1sb):
+                plan.append((twisted.get(perm) or twisted.setdefault(perm, (
+                    [[perm[x] for x in bits] for bits in ta_bits],
+                    [[perm[x] for x in bits] for bits in sa_bits], {}, {})),
+                    count))
         prod: dict = {}
-        for t_idx, s_idx, count in plan:
-            key = (_star(t_idx, tb), _star(s_idx, sb))
+        for (t_idx, s_idx, t_of, s_of), count in plan:
+            if share:
+                key = (t_of.get(tb) or t_of.setdefault(tb, _star(t_idx, tb)),
+                       s_of.get(sb) or s_of.setdefault(sb, _star(s_idx, sb)))
+            else:
+                key = (_star(t_idx, tb), _star(s_idx, sb))
             cls = by_rows.get(key)
             if cls is None:
                 cls = by_rows[key] = canonical_section(

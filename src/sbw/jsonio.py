@@ -208,18 +208,17 @@ def partition_to_json(part) -> dict:
     }
 
 
+def _block_json(b, **after_class) -> dict:
+    """An essential or matrix block; ``after_class`` follows its class."""
+    return {"class": pair_json(b.members[0]), **after_class, "n": b.n,
+            "gamma_order": b.gamma_order, "irr_count": b.irreducibles,
+            "dim": b.dim}
+
+
 def essential_to_json(report) -> dict:
-    blocks = []
-    for b in report.blocks:
-        blocks.append({
-            "class": pair_json(b.members[0]),
-            "members": [pair_json(p) for p in b.members],
-            "n": b.n,
-            "gamma_order": b.gamma_order,
-            "irr_count": b.irreducibles,
-            "dim": b.dim,
-            "reduced": {"verdict": b.verdict, "rule": b.rule},
-        })
+    blocks = [{**_block_json(b, members=[pair_json(p) for p in b.members]),
+               "reduced": {"verdict": b.verdict, "rule": b.rule}}
+              for b in report.blocks]
     dim = report.essential_dim
     simple = report.simple_count
     return {
@@ -238,13 +237,7 @@ def matrix_to_json(report) -> dict:
     return {
         "group": group_ref(report.group),
         "covering_dim": report.covering_dim,
-        "blocks": [{
-            "class": pair_json(b.members[0]),
-            "n": b.n,
-            "gamma_order": b.gamma_order,
-            "irr_count": b.irreducibles,
-            "dim": b.dim,
-        } for b in report.blocks],
+        "blocks": [_block_json(b) for b in report.blocks],
     }
 
 

@@ -453,6 +453,61 @@ def test_batched_kernel_matches_the_definition_with_rows_wider_than_a_byte():
                                         gamma_basis(H, G))
 
 
+def test_batched_kernel_matches_the_definition_across_two_ambients():
+    # One batch whose right classes alternate between S3 x C2 and S3 x C3:
+    # the twisted halves are shared by row tuples across both ambients,
+    # while the product classes are looked up in each ambient's own table.
+    S3xC2 = gamma_basis(cg("S3"), cg("C2"))
+    S3xC3 = gamma_basis(cg("S3"), cg("C3"))
+    mixed = [b for pair in zip(S3xC2, S3xC3) for b in pair]
+    mixed += S3xC2[len(S3xC3):]
+    assert len(mixed) == len(S3xC2) + len(S3xC3)
+    assert_batch_matches_the_definition(gamma_basis(cg("C2"), cg("S3")),
+                                        mixed)
+
+
+@pytest.mark.parametrize("gid", ["D8", "Q8"])
+def test_batched_kernel_matches_the_definition_over_d8_and_q8(gid):
+    # Sampled left classes over a nonabelian middle of order 8, each
+    # against every right class in one batch.
+    H = cg(gid)
+    assert_batch_matches_the_definition(gamma_basis(cg("C2"), H)[::9],
+                                        gamma_basis(H, cg("C2")))
+
+
+def test_batched_kernel_shares_a_twisted_half_across_plans(monkeypatch):
+    # b1 and b2 have equal T rows but different p1(S), so each has its own
+    # plan; both plans twist by a common non-identity perm, under which
+    # b2's T half is the one computed for b1.
+    H = cg("S3")
+    left = gamma_basis(cg("C2"), H)
+    right = gamma_basis(H, cg("C2"))
+    identity = tuple(range(H.order))
+
+    def twists(a, b):
+        return gamma._twists(H, a.rows()[3], b.rows()[2])
+
+    def moved(a, b):
+        return {perm for perm, _ in twists(a, b)} - {identity}
+
+    a, b1, b2 = next(
+        (a, b1, b2) for a in left for b1 in right for b2 in right
+        if b1.rows()[0] == b2.rows()[0] and b1.rows()[2] != b2.rows()[2]
+        and moved(a, b1) & moved(a, b2))
+    halves = {(perm, side, b.rows()[side]) for b in (b1, b2)
+              for perm, _ in twists(a, b) for side in (0, 1)}
+    terms = len(twists(a, b1)) + len(twists(a, b2))
+    star = gamma._star
+    calls = []
+    monkeypatch.setattr(gamma, "_star", lambda index_lists, rows: (
+        calls.append(rows), star(index_lists, rows))[1])
+    batch = gamma.class_products(a, [b1, b2])
+    assert [list(p.items()) for p in batch] == \
+        [reference_product(a, b) for b in (b1, b2)]
+    # Each half is computed once per (twist, rows) of the batch.
+    assert len(calls) == len(halves) < 2 * terms
+
+
 def test_batched_kernel_rejects_another_middle_inside_a_batch():
     a = gamma_basis(cg("C2"), cg("S3"))[-1]
     right = (gamma_basis(cg("S3"), cg("C2"))[:3]
