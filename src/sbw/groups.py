@@ -96,13 +96,13 @@ def _validate_table(rows: tuple) -> None:
 class Group:
     """A finite group on ``{0, .., order-1}`` given by its full table.
 
-    ``table[a][b]``, an ``int``, is the product ``a*b``; index 0 is the
-    identity.  ``factors`` is set on direct products.
+    ``table[a][b]`` is the product ``a*b``.  Index 0 is the identity.
+    ``factors`` is set on direct products.
     """
 
     def __init__(self, table, name: str = "G", factors=None,
                  validate: bool = True):
-        rows = tuple(map(tuple, table))
+        rows = tuple(tuple(map(int, row)) for row in table)
         _check_order(len(rows))
         if validate:
             _validate_table(rows)
@@ -115,7 +115,7 @@ class Group:
                                else (factors[0].digest, factors[1].digest))
         cells = array("H", itertools.chain.from_iterable(rows)).tobytes()
         self.digest = hashlib.blake2b(cells, digest_size=12).hexdigest()
-        self._inv = tuple([row.index(0) for row in rows])
+        self._inv = tuple(int(row.index(0)) for row in rows)
         self._memo = memo.tables()
 
     # -- basic arithmetic ------------------------------------------------
