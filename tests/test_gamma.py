@@ -499,8 +499,12 @@ def test_batched_kernel_shares_a_twisted_half_across_plans(monkeypatch):
     terms = len(twists(a, b1)) + len(twists(a, b2))
     star = gamma._star
     calls = []
-    monkeypatch.setattr(gamma, "_star", lambda index_lists, rows: (
-        calls.append(rows), star(index_lists, rows))[1])
+
+    def counted_star(index_lists, rows):
+        calls.append(rows)
+        return star(index_lists, rows)
+
+    monkeypatch.setattr(gamma, "_star", counted_star)
     batch = gamma.class_products(a, [b1, b2])
     assert [list(p.items()) for p in batch] == \
         [reference_product(a, b) for b in (b1, b2)]
