@@ -17,6 +17,8 @@ the product class of each ambient by its (T rows, S rows) (see ``memo``).
 the memoized entry point: it keeps each product in a process-wide table,
 left class id -> {right class id: product}, and hands a row's misses to
 ``class_products`` in one call; ``compose_classes`` is its one-pair case.
+``class_sums`` is the one loop that sums integer multiples of class
+products, for ``compose`` and for the idempotents checks in ``verify``:
 ``compose`` sums, for each class of its left operand, that class's row
 against the right operand's numerators, and keeps the row sum in the right
 operand (see ``compose``).  Callers whose products never repeat
@@ -326,28 +328,30 @@ def compose_classes(a: SectionClass, b: SectionClass) -> dict:
     return compose_row(a, (b,))[0]
 
 
-def _row_sum(a: SectionClass, bs, nums) -> tuple:
-    """Sum of n * (a o b) over the classes b of bs and integers n of nums,
-    as (class, integer) pairs in order of first appearance, zeros dropped."""
+def class_sums(prods, terms) -> dict:
+    """The sum of n * prods[k] over the (k, n) in terms, for class products
+    prods[k] (class -> int), as class -> int in order of first appearance,
+    zeros dropped; terms are accumulated by class uid."""
     acc: dict = {}
     classes: dict = {}
-    for prod, nb in zip(compose_row(a, bs), nums):
-        for cls, mult in prod.items():
+    for k, n in terms:
+        for cls, m in prods[k].items():
             u = cls.uid
             if u in acc:
-                acc[u] += nb * mult
+                acc[u] += n * m
             else:
-                acc[u] = nb * mult
+                acc[u] = n * m
                 classes[u] = cls
-    return tuple([(classes[u], n) for u, n in acc.items() if n])
+    return {classes[u]: q for u, q in acc.items() if q}
 
 
 def compose(a: GammaElement, b: GammaElement) -> GammaElement:
     """Composition Gamma(G,H) x Gamma(H,K) -> Gamma(G,K).
 
     By bilinearity each class c of a contributes its numerator times the
-    row sum of c o c' over b's classes c' and numerators.  b keeps these
-    rows in its ``_row_sums``, keyed by c's uid, but only when a has more
+    row sum of c o c' over b's classes c' and numerators (``class_sums``).
+    b keeps these rows, as (class, integer) pairs, in its ``_row_sums``,
+    keyed by c's uid, but only when a has more
     than one class: a one-class a's row is the whole product.  The memo
     lives and dies with b, which is sound only because ``nums`` is never
     modified.  A class that cancels within one row is dropped from it, so
@@ -371,7 +375,8 @@ def compose(a: GammaElement, b: GammaElement) -> GammaElement:
     for cls_a, na in left.items():
         row = rows.get(cls_a.uid)
         if row is None:
-            row = _row_sum(cls_a, right.keys(), right.values())
+            row = tuple(class_sums(compose_row(cls_a, right.keys()),
+                                   enumerate(right.values())).items())
             if store:
                 rows[cls_a.uid] = row
         for cls, n in row:

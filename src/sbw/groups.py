@@ -706,15 +706,15 @@ _PRODUCT_REGISTRY = memo.table(None, "direct_product")
 def direct_product(G: Group, H: Group) -> Group:
     """The direct product with (g, h) stored at index g*|H| + h.
 
-    Results are interned so every caller sees the same ambient object.
+    Checked against the cap first, then interned so all callers share it.
     """
+    ho = H.order
+    n = G.order * ho
+    _check_order(n, what="product order")
     key = (G.digest, H.digest)
     cached = _PRODUCT_REGISTRY.get(key)
     if cached is not None:
         return cached
-    ho = H.order
-    n = G.order * ho
-    _check_order(n, what="product order")
     tg, th = G.table, H.table
     table = [[0] * n for _ in range(n)]
     for a in range(G.order):

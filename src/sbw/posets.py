@@ -10,6 +10,7 @@ where joins always exist; its e/f idempotents live in Gamma(G, G).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import NotInPoset
@@ -164,18 +165,20 @@ def _require_pair(poset: FinitePoset, pair: tuple) -> int:
 
 def f_idempotent(G: Group, pair: tuple) -> gamma.GammaElement:
     """f_(K,P): the Mobius combination of the e's above (K, P)."""
+    return _f_idempotents(G)[_require_pair(build_poset(G), pair)]
+
+
+@memo.once
+def _f_idempotents(G: Group) -> list:
+    """Every f, by poset index.  e_(L,Q) = [Delta_L(G), Delta(Q)] / |G:Q|,
+    so |G| f_(K,P) is the sum of mu((K,P), (L,Q)) |Q| [Delta_L(G), Delta(Q)]
+    over the (L,Q) >= (K,P), built in one pass from each e class once."""
     poset = build_poset(G)
-    i = _require_pair(poset, pair)
-    cache = memo.table(G, "f_idempotent")
-    out = cache.get(i)
-    if out is None:
-        mob = poset.mobius()
-        out = gamma.zero(G, G)
-        for j in poset.upper_set(pair):
-            L, Q = poset.elements[j]
-            out = out + mob[(i, j)] * gamma.e_idempotent(G, L, Q)
-        cache[i] = out
-    return out
+    mob = poset.mobius()
+    scaled = [(gamma.e_class(G, L, Q), Q.order) for L, Q in poset.elements]
+    return [gamma.GammaElement(G, G, {
+        cls: Fraction(mu * q, G.order) for j, (cls, q) in enumerate(scaled)
+        if (mu := mob.get((i, j)))}) for i in range(len(poset))]
 
 
 def e_idempotent(G: Group, pair: tuple) -> gamma.GammaElement:

@@ -367,18 +367,6 @@ def _class_actions(b, pairs, lefts, rights, want_l, want_r) -> None:
                 assert cls == b and m == scale, (z, b.key)
 
 
-def _sum(prods, terms) -> dict:
-    """The sum of n * prods[k] over (k, n) in terms, for class products
-    (class -> int), as class uid -> int with zeros dropped."""
-    acc: dict = {}
-    get = acc.get
-    for k, n in terms:
-        for cls, m in prods[k].items():
-            u = cls.uid
-            acc[u] = get(u, 0) + n * m
-    return {u: q for u, q in acc.items() if q}
-
-
 def _central_split(terms, lefts, rights, den: int, b) -> list:
     """Check f_X o b = b o f_X per block X, and sum_X f_X o b = b, on the
     integer sums den * (f_X o b), which are returned, one per block.
@@ -386,14 +374,12 @@ def _central_split(terms, lefts, rights, den: int, b) -> list:
     terms[X] lists the (k, n) with den * f_X = sum of n E_k, and lefts[k]
     and rights[k] are E_k o b and b o E_k."""
     sums = []
-    total: dict = {}
     for i, block in enumerate(terms):
-        left = _sum(lefts, block)
-        assert left == _sum(rights, block), (i, b.key)
+        left = gamma.class_sums(lefts, block)
+        assert left == gamma.class_sums(rights, block), (i, b.key)
         sums.append(left)
-        for u, q in left.items():
-            total[u] = total.get(u, 0) + q
-    assert {u: q for u, q in total.items() if q} == {b.uid: den}, b.key
+    assert gamma.class_sums(sums, [(i, 1) for i in range(len(sums))]) == \
+        {b: den}, b.key
     return sums
 
 
@@ -510,7 +496,7 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
         # f_X b f_Y = b f_X f_Y once centrality holds, so the quadratic
         # sweep over (X, Y) only runs where the basis is small.
         explicit = len(basis) <= _TWO_SIDED_LIMIT
-        row_sums: dict = {}  # class uid -> den * (d o f_Y), per block Y
+        row_sums: dict = {}  # class d -> den * (d o f_Y), per block Y
         n = 0
         for b, lefts in zip(basis, zip(*rows)):
             l0, r0 = b.middles()
@@ -522,26 +508,26 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
                 continue
             # den^2 * (f_X o b o f_Y) from the row sums den * (d o f_Y) of
             # the classes d of den * (f_X o b); a zero one needs none.
-            by_uid = {cls.uid: cls for prod in lefts for cls in prod}
-            diag: dict = {}
+            n += len(fX) ** 2
+            diag = []
             for i, comp in enumerate(comps):
-                n += len(fX)
                 if not comp:
                     continue
-                boths = [diag if j == i else {} for j in range(len(fX))]
-                for u, q in comp.items():
-                    sums = row_sums.get(u)
-                    if sums is None:
-                        row = gamma.compose_row(by_uid[u], support)
-                        sums = row_sums[u] = [_sum(row, block)
-                                              for block in terms]
-                    for both, part_sum in zip(boths, sums):
-                        for v, m in part_sum.items():
-                            both[v] = both.get(v, 0) + q * m
-                for j, both in enumerate(boths):
-                    assert j == i or not any(both.values()), (i, j, b.key)
-            assert {u: q for u, q in diag.items() if q} == \
-                {b.uid: den * den}, b.key
+                for d in comp:
+                    if d not in row_sums:
+                        row = gamma.compose_row(d, support)
+                        row_sums[d] = [gamma.class_sums(row, block)
+                                       for block in terms]
+                weights = list(enumerate(comp.values()))
+                for j in range(len(fX)):
+                    both = gamma.class_sums([row_sums[d][j] for d in comp],
+                                            weights)
+                    if j == i:
+                        diag.append(both)
+                    else:
+                        assert not both, (i, j, b.key)
+            assert gamma.class_sums(diag, [(i, 1) for i in range(len(diag))]) \
+                == {b: den * den}, b.key
         mode = "explicit two-sided" if explicit else "centrality"
         return f"{n} products, {mode}"
     _run(out, "idempotents", f"{gid} covering centrality",

@@ -389,6 +389,41 @@ def test_integer_form_matches_fraction_arithmetic(data):
     assert a != c and gamma.zero(G, H) != gamma.zero(H, G)
 
 
+def fraction_class_sums(prods, terms) -> dict:
+    """``class_sums`` by Fraction arithmetic keyed by the classes: the sum
+    of n * prods[k] over (k, n) in terms, zeros dropped."""
+    acc = {}
+    for k, n in terms:
+        for cls, m in prods[k].items():
+            acc[cls] = acc.get(cls, Fraction(0)) + Fraction(n) * m
+    return {cls: q for cls, q in acc.items() if q}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_class_sums_matches_fraction_arithmetic(data):
+    # Four classes and small multiplicities, so sums often cancel.
+    pool = gamma_basis(cg("C2"), cg("C2"))[:4]
+    prods = data.draw(st.lists(st.dictionaries(
+        st.sampled_from(pool), st.integers(-3, 3).filter(bool), max_size=4),
+        min_size=1, max_size=5))
+    terms = data.draw(st.lists(st.tuples(
+        st.integers(0, len(prods) - 1), st.integers(-3, 3)), max_size=8))
+    got = gamma.class_sums(prods, terms)
+    assert list(got.items()) == list(fraction_class_sums(prods, terms).items())
+    assert all(type(q) is int for q in got.values())
+
+
+def test_class_sums_drops_a_cancelled_class_and_keeps_first_appearance():
+    a, b, c = gamma_basis(cg("C2"), cg("C2"))[:3]
+    prods = [{a: 1, b: 2}, {c: 1, b: 1}, {a: 1}]
+    # a: 1 - 1 = 0 is dropped; b comes first, though its last term is later.
+    assert list(gamma.class_sums(prods, [(0, 1), (1, 2), (2, -1)]).items()) \
+        == [(b, 4), (c, 2)]
+    assert gamma.class_sums(prods, [(0, 1), (0, -1)]) == {}
+    assert gamma.class_sums(prods, []) == {}
+
+
 def test_row_sum_memo_equals_the_bilinear_sum():
     G, H = cg("S3"), cg("C2")
     left, right = gamma_basis(G, H), gamma_basis(H, H)

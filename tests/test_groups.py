@@ -159,6 +159,14 @@ def test_order_cap_blocks_large_tables(monkeypatch):
     assert cyclic(600).order == 600
 
 
+def test_interned_direct_product_is_refused_once_the_cap_drops(monkeypatch):
+    C2, C4 = cyclic(2), cyclic(4)
+    assert direct_product(C2, C4).order == 8
+    monkeypatch.setenv("SBW_MAX_ORDER", "4")
+    with pytest.raises(OrderLimitExceeded):
+        direct_product(C2, C4)
+
+
 @pytest.mark.parametrize("build, arg", [(cyclic, 1500), (dihedral, 1500),
                                         (symmetric, 9)])
 def test_constructors_refuse_an_order_over_the_cap_before_building(build,

@@ -105,6 +105,29 @@ def test_e_recovers_from_f_by_summing_upward(gid):
         assert acc.coeffs == posets.e_idempotent(G, x).coeffs
 
 
+def chained_f(G, pair):
+    """f_(K,P) by a chain of element additions, sum of mu * e_(L,Q) over
+    the (L,Q) >= (K,P), as ``f_idempotent`` once built it."""
+    poset = posets.build_poset(G)
+    i = poset.index[pair]
+    mob = poset.mobius()
+    out = gamma.zero(G, G)
+    for j in poset.upper_set(pair):
+        L, Q = poset.elements[j]
+        out = out + mob[(i, j)] * gamma.e_idempotent(G, L, Q)
+    return out
+
+
+@pytest.mark.parametrize("gid", [gid for gid in default_catalog().ids()
+                                 if cg(gid).order <= 8])
+def test_f_idempotent_matches_the_chain_of_additions(gid):
+    G = cg(gid)
+    for pair in posets.normal_commuting_pairs(G):
+        f, ref = posets.f_idempotent(G, pair), chained_f(G, pair)
+        assert f.den == ref.den
+        assert list(f.nums.items()) == list(ref.nums.items())
+
+
 def test_idempotents_require_pairs_from_the_poset():
     S3 = cg("S3")
     c2 = S3.subgroup((0, 1))   # not normal
