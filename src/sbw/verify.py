@@ -507,21 +507,21 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
             if not explicit:
                 continue
             # den^2 * (f_X o b o f_Y) from the row sums den * (d o f_Y) of
-            # the classes d of den * (f_X o b); a zero one needs none.
+            # the classes d of den * (f_X o b); a block pair where every
+            # d o f_Y is zero needs no sum.
             n += len(fX) ** 2
             diag = []
             for i, comp in enumerate(comps):
-                if not comp:
-                    continue
                 for d in comp:
                     if d not in row_sums:
                         row = gamma.compose_row(d, support)
                         row_sums[d] = [gamma.class_sums(row, block)
                                        for block in terms]
                 weights = list(enumerate(comp.values()))
-                for j in range(len(fX)):
-                    both = gamma.class_sums([row_sums[d][j] for d in comp],
-                                            weights)
+                for j, parts in enumerate(zip(*[row_sums[d] for d in comp])):
+                    if not any(parts):
+                        continue
+                    both = gamma.class_sums(parts, weights)
                     if j == i:
                         diag.append(both)
                     else:
