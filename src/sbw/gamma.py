@@ -351,11 +351,11 @@ def compose(a: GammaElement, b: GammaElement) -> GammaElement:
     By bilinearity each class c of a contributes its numerator times the
     row sum of c o c' over b's classes c' and numerators (``class_sums``).
     b keeps these rows, as (class, integer) pairs, in its ``_row_sums``,
-    keyed by c's uid, but only when a has more
-    than one class: a one-class a's row is the whole product.  The memo
-    lives and dies with b, which is sound only because ``nums`` is never
-    modified.  A class that cancels within one row is dropped from it, so
-    it may appear later in the result's order.
+    keyed by c's uid, but only when a has more than one class: a one-class
+    a's row is the whole product.  The memo lives and dies with b, which is
+    sound only because ``nums`` is never modified.  A class that cancels
+    within one row is dropped from it, so it may appear later in the
+    result's order.
     """
     if a.right.digest != b.left.digest:
         raise MiddleMismatch("composition needs a common middle group")
