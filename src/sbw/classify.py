@@ -105,13 +105,20 @@ def _pair_key(pair) -> tuple:
 def linkage_partition(G: Group) -> LinkagePartition:
     # Linkage is an equivalence relation, so comparing with each block's
     # first member suffices; `pairs` is sorted, so every block is sorted
-    # and the blocks come out ordered by their first members.
+    # and the blocks come out ordered by their first members.  G x G is
+    # fetched, and checked against the cap, only once a comparison passes
+    # the order test, so a group without one needs no G x G.
     pairs = posets.normal_commuting_pairs(G)
+    X = None
     components = []
     for p in pairs:
         for comp in components:
             rep = comp[0]
-            if crossed.linked(G, rep[0], rep[1], G, p[0], p[1]):
+            if rep[0].index != p[0].index or rep[1].order != p[1].order:
+                continue
+            if X is None:
+                X = direct_product(G, G)
+            if crossed.linked(X, rep[0], rep[1], p[0], p[1]):
                 comp.append(p)
                 break
         else:
@@ -403,8 +410,9 @@ def reduced_status(G: Group, pair, catalog=None) -> ReducedStatus:
     for _, H in groups:
         if H.order >= G.order:
             continue
+        X = direct_product(G, H)
         for (L, Q) in posets.normal_commuting_pairs(H):
-            if crossed.linked(G, K, P, H, L, Q) is not None:
+            if crossed.linked(X, K, P, L, Q) is not None:
                 return ReducedStatus(pair=pair, verdict="NotReduced",
                                      rule="SmallerLinked")
     present = {H.order for _, H in groups if H.order < G.order}
@@ -697,8 +705,8 @@ def seeds(catalog=None) -> SeedTable:
                 continue
             if find(i) == find(j):
                 continue
-            if crossed.linked(a.group, a.rep[0], a.rep[1],
-                              b.group, b.rep[0], b.rep[1]) is None:
+            if crossed.linked(direct_product(a.group, b.group), *a.rep,
+                              *b.rep) is None:
                 continue
             check = transport_check((a.group,) + a.rep, (b.group,) + b.rep)
             if not check["ok"]:

@@ -92,14 +92,16 @@ def cmd_group_info(args):
 
 def cmd_sections_list(args):
     G = _group(args)
-    X = G
+    X, name = G, G.name
     if args.with_group:
-        X = direct_product(G, _group(args, spec=args.with_group))
+        H = _group(args, spec=args.with_group)
+        # X is interned by digest, so its own name may be another pair's
+        X, name = direct_product(G, H), f"{G.name}x{H.name}"
     rows = [{"T": list(cls.T), "S": list(cls.S),
              "orbit_size": cls.orbit_size}
             for cls in sections.enumerate_sections(X)]
-    return 0, {"group": jsonio.group_ref(X), "count": len(rows),
-               "rows": rows}
+    return 0, {"group": dict(jsonio.group_ref(X), name=name),
+               "count": len(rows), "rows": rows}
 
 
 def cmd_compose(args):

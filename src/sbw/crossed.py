@@ -204,10 +204,8 @@ def iso_search(src: CrossedModule, dst: CrossedModule,
 
 @dataclass
 class AutOut:
-    """Aut of a crossed module, its inner part and one aut per coset of Inn."""
+    """Aut of a crossed module and one aut per coset of Inn."""
     auts: tuple           # the automorphisms, sorted by their image tuples
-    inn: tuple            # sorted indices into `auts` of the inner ones
-    theta_images: tuple   # theta(b) as an index into `auts`, per b in B
     out_reps: tuple       # least index in each coset f o Inn, ascending
 
 
@@ -238,32 +236,26 @@ def aut_out(cm: CrossedModule) -> AutOut:
                 raise AxiomFailed("inner automorphisms do not partition Aut "
                                   "into cosets")
             seen[j] = 1
-    return AutOut(auts=tuple(auts), inn=inn, theta_images=theta_images,
-                  out_reps=tuple(out_reps))
+    return AutOut(auts=tuple(auts), out_reps=tuple(out_reps))
 
 
-@dataclass
-class LinkWitness:
-    """Certificate that two commuting normal pairs are linked."""
-    morphism: CMorphism   # iso (Q, H/L, i_Q) -> (P, G/K, i_P)
-    section: object       # Section of G x H with the prescribed invariants
+def link_section(X: Group, K: Subgroup, P: Subgroup,
+                 L: Subgroup, Q: Subgroup, m: CMorphism):
+    """The section of X = G x H induced by an iso (Q, H/L, i_Q) -> (P, G/K, i_P).
 
-
-def link_section(G: Group, K: Subgroup, P: Subgroup,
-                 H: Group, L: Subgroup, Q: Subgroup, m: CMorphism):
-    """The section of G x H induced by an iso (Q, H/L, i_Q) -> (P, G/K, i_P).
-
-    T is the graph of beta on K/L-cosets, S the graph of alpha.  T depends
-    only on (K, L, beta) and S only on (P, Q, alpha), so each is built once
-    per key and kept in the product's ``link_t`` / ``link_s`` memo.  The
-    ``Section`` around them is made on every call, and with it the check
-    that S <= T and that S is normal in T: that check is the certificate
-    that the iso route's answer is a section.
+    G and H are ``K.parent`` and ``L.parent``; the caller fetches X once
+    for all its pairs of G and H.  T is the graph of beta on K/L-cosets, S
+    the graph of alpha.  T depends only on (K, L, beta) and S only on
+    (P, Q, alpha), so each is built once per key and kept in X's
+    ``link_t`` / ``link_s`` memo.  The ``Section`` around them is made on
+    every call, and with it the check that S <= T and that S is normal in
+    T: that check is the certificate that the iso route's answer is a
+    section.
     """
-    ambient = direct_product(G, H)
+    G, H = K.parent, L.parent
     alpha, beta = m.alpha.images, m.beta.images
     ho = H.order
-    t_memo = memo.table(ambient, "link_t")
+    t_memo = memo.table(X, "link_t")
     t_key = (K.elems, L.elems, beta)
     T = t_memo.get(t_key)
     if T is None:
@@ -277,9 +269,8 @@ def link_section(G: Group, K: Subgroup, P: Subgroup,
         t_gens = ([x * ho + h_cosets[pre[gk.idx(x)]][0]
                    for x in G.generators()]
                   + [k * ho for k in K.generators()] + list(L.generators()))
-        T = t_memo[t_key] = Subgroup(ambient, t_elems, gens=t_gens,
-                                     check=False)
-    s_memo = memo.table(ambient, "link_s")
+        T = t_memo[t_key] = Subgroup(X, t_elems, gens=t_gens, check=False)
+    s_memo = memo.table(X, "link_s")
     s_key = (P.elems, Q.elems, alpha)
     S = s_memo.get(s_key)
     if S is None:
@@ -290,10 +281,10 @@ def link_section(G: Group, K: Subgroup, P: Subgroup,
         def graph(q):
             return pview.rep(alpha[qview.idx(q)]) * ho + q
 
-        S = s_memo[s_key] = Subgroup(ambient, map(graph, Q.elems),
+        S = s_memo[s_key] = Subgroup(X, map(graph, Q.elems),
                                      gens=map(graph, Q.generators()),
                                      check=False)
-    return sections.Section(ambient, T, S)
+    return sections.Section(X, T, S)
 
 
 def theta(G: Group, K: Subgroup, P: Subgroup, m: CMorphism):
@@ -301,25 +292,26 @@ def theta(G: Group, K: Subgroup, P: Subgroup, m: CMorphism):
     cm = from_pair(G, K, P)
     if m.src is not cm or m.dst is not cm or not m.is_iso():
         raise NotAutomorphism("expected an automorphism of (P, G/K, i_P)")
-    return link_section(G, K, P, G, K, P, m)
+    return link_section(direct_product(G, G), K, P, K, P, m)
 
 
-def linked(G: Group, K: Subgroup, P: Subgroup,
-           H: Group, L: Subgroup, Q: Subgroup) -> Optional[LinkWitness]:
-    """A witness that (G,K,P,1) and (H,L,Q,1) are linked, or None.
+def linked(X: Group, K: Subgroup, P: Subgroup,
+           L: Subgroup, Q: Subgroup) -> Optional[sections.Section]:
+    """The witness section of X = G x H that (G,K,P,1) and (H,L,Q,1) are
+    linked, or None.
 
-    Linkage holds exactly when the conjugation crossed modules of the two
-    pairs are isomorphic; the witness section realizes the link.  Crossed
-    modules of different orders are never isomorphic, so an order mismatch
-    returns None before either module is built.
+    G and H are ``K.parent`` and ``L.parent``, not ``X.factors``: an
+    interned product's factors may be other objects with the same digest,
+    and the ``from_pair`` memo is kept per object.  Linkage holds exactly
+    when the conjugation crossed modules of the two pairs are isomorphic;
+    the witness is ``link_section`` of the first iso found, checked on
+    every call.  Crossed modules of different orders are never isomorphic,
+    so an order mismatch returns None before either module is built.
     """
-    if G.order // K.order != H.order // L.order or P.order != Q.order:
+    if K.index != L.index or P.order != Q.order:
         return None
-    cm_g = from_pair(G, K, P)
-    cm_h = from_pair(H, L, Q)
-    found = iso_search(cm_h, cm_g, limit=1)
+    found = iso_search(from_pair(L.parent, L, Q), from_pair(K.parent, K, P),
+                       limit=1)
     if not found:
         return None
-    m = found[0]
-    section = link_section(G, K, P, H, L, Q, m)
-    return LinkWitness(morphism=m, section=section)
+    return link_section(X, K, P, L, Q, found[0])

@@ -700,12 +700,12 @@ def suite_linkage(max_order: int = 8, catalog=None) -> list:
     for i, (ga, G) in enumerate(groups):
         for gb, H in groups[i:]:
             def agree(G=G, H=H):
+                X = direct_product(G, H)
                 pg = posets.normal_commuting_pairs(G)
                 ph = posets.normal_commuting_pairs(H)
                 n = len(pg) * len(ph)
-                mism = sum((crossed.linked(G, K, P, H, L, Q) is not None)
-                           != sections.has_constrained_section(
-                               G, H, K, P, L, Q)
+                mism = sum((crossed.linked(X, K, P, L, Q) is not None)
+                           != sections.has_constrained_section(X, K, P, L, Q)
                            for K, P in pg for L, Q in ph)
                 assert mism == 0, f"{mism} of {n} disagree"
                 return f"{n} pair combinations agree"

@@ -125,11 +125,12 @@ def test_linkage_blocks_partition_the_pairs():
 
 def test_linked_pairs_share_a_block():
     Q8 = cg("Q8")
+    X = groups.direct_product(Q8, Q8)
     part = classify.linkage_partition(Q8)
     for block in part.blocks:
         K0, P0 = block[0]
         for K, P in block[1:]:
-            assert crossed.linked(Q8, K0, P0, Q8, K, P) is not None
+            assert crossed.linked(X, K0, P0, K, P) is not None
 
 
 def test_matrix_decomposition_matches_frozen_dims():

@@ -127,6 +127,18 @@ def test_sections_list_with_second_group(capsys):
     assert data["count"] == 31
 
 
+def test_sections_list_names_the_groups_given(capsys):
+    # C2 x Z is the catalog's interned C2 x C2, but reports the given names
+    z = '{"table":[[0,1],[1,0]],"name":"Z"}'
+    code, data = run_json(capsys, "sections", "list", "--group", "C2",
+                          "--with", z)
+    assert code == 0
+    assert data["group"]["name"] == "C2xZ"
+    assert data["group"]["digest"] == \
+        catalog.default_catalog().by_id("C2xC2").group.digest
+    assert data["count"] == 12
+
+
 def test_compose_identity(capsys):
     code, data = run_json(capsys, "compose", "--groups", "C2", "C2", "C2",
                           "--a", IDENT_C2, "--b", IDENT_C2)

@@ -189,8 +189,9 @@ def test_constrained_sections_find_the_q8_d8_bimodule():
 ])
 def test_constrained_sections_match_brute_force(gid_g, gid_h):
     G, H = cg(gid_g), cg(gid_h)
+    X = direct_product(G, H)
     by_middles = {}
-    for cls in sections.enumerate_sections(direct_product(G, H)):
+    for cls in sections.enumerate_sections(X):
         if sections.is_covering(cls):
             middles = cls.middles()[0] + cls.middles()[1]
             by_middles.setdefault(tuple(m.elems for m in middles),
@@ -201,7 +202,7 @@ def test_constrained_sections_match_brute_force(gid_g, gid_h):
             expected = tuple(sorted(by_middles.get(key, ())))
             assert sections.constrained_sections(G, H, K, P, L, Q) \
                 == expected, key
-            assert sections.has_constrained_section(G, H, K, P, L, Q) \
+            assert sections.has_constrained_section(X, K, P, L, Q) \
                 == bool(expected), key
 
 

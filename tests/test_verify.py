@@ -2,7 +2,7 @@
 
 import pytest
 
-from sbw import catalog, classify, gamma, posets, verify
+from sbw import catalog, classify, gamma, groups, posets, verify
 from sbw.errors import WorkbenchError
 
 CAT = catalog.default_catalog()
@@ -111,9 +111,9 @@ def test_linkage_asks_the_section_route(monkeypatch):
     # two routes then disagree there, and only that check fails.
     real = verify.sections.has_constrained_section
 
-    def flipped(G, H, K, P, L, Q):
-        found = real(G, H, K, P, L, Q)
-        if G.order == H.order == 2 and \
+    def flipped(X, K, P, L, Q):
+        found = real(X, K, P, L, Q)
+        if K.parent.order == L.parent.order == 2 and \
                 K.elems == P.elems == L.elems == Q.elems == (0,):
             return not found
         return found
@@ -124,6 +124,37 @@ def test_linkage_asks_the_section_route(monkeypatch):
     assert len(checks) == 3
     assert [(c.name, c.detail) for c in checks if not c.ok] == [
         ("C2 vs C2 two linkage routes", f"AssertionError: 1 of {n} disagree")]
+
+
+def test_linkage_fetches_each_product_once(monkeypatch):
+    real = verify.direct_product
+    fetched = []
+
+    def counted(G, H):
+        fetched.append((G.name, H.name))
+        return real(G, H)
+
+    for module in (verify, verify.crossed, verify.sections, groups):
+        monkeypatch.setattr(module, "direct_product", counted)
+    checks = verify.suite_linkage(max_order=4)
+    assert all(c.ok for c in checks)
+    # one check and one fetch per unordered pair of the 5 groups
+    assert len(checks) == 15
+    assert sorted(fetched) == sorted(set(fetched))
+    assert len(fetched) == 15
+
+
+def test_linkage_checks_the_cap_on_each_product(monkeypatch):
+    monkeypatch.setenv("SBW_MAX_ORDER", "32")
+    checks = verify.suite_linkage(max_order=8)
+    orders = {gid: G.order for gid, G in verify._groups(8)}
+    assert len(checks) == 105
+    for c in checks:
+        ga, _, gb = c.name.split()[:3]
+        if orders[ga] * orders[gb] > 32:
+            assert not c.ok and c.detail.startswith("OrderLimitExceeded")
+        else:
+            assert c.ok, c.detail
 
 
 @pytest.mark.parametrize("wrong_side", ["E_z o b", "b o E_z"])
