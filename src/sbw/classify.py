@@ -106,19 +106,15 @@ def linkage_partition(G: Group) -> LinkagePartition:
     # Linkage is an equivalence relation, so comparing with each block's
     # first member suffices; `pairs` is sorted, so every block is sorted
     # and the blocks come out ordered by their first members.  G x G is
-    # fetched, and checked against the cap, only once a comparison passes
-    # the order test, so a group without one needs no G x G.
+    # built, and checked against the cap, only for a linked pair.
     pairs = posets.normal_commuting_pairs(G)
-    X = None
     components = []
     for p in pairs:
         for comp in components:
             rep = comp[0]
-            if rep[0].index != p[0].index or rep[1].order != p[1].order:
-                continue
-            if X is None:
-                X = direct_product(G, G)
-            if crossed.linked(X, rep[0], rep[1], p[0], p[1]):
+            m = crossed.link_iso(*rep, *p)
+            if m is not None:
+                crossed.link_section(direct_product(G, G), *rep, *p, m)
                 comp.append(p)
                 break
         else:
@@ -705,9 +701,12 @@ def seeds(catalog=None) -> SeedTable:
                 continue
             if find(i) == find(j):
                 continue
-            if crossed.linked(direct_product(a.group, b.group), *a.rep,
-                              *b.rep) is None:
+            # a.group x b.group is built only for a linked pair
+            m = crossed.link_iso(*a.rep, *b.rep)
+            if m is None:
                 continue
+            crossed.link_section(direct_product(a.group, b.group), *a.rep,
+                                 *b.rep, m)
             check = transport_check((a.group,) + a.rep, (b.group,) + b.rep)
             if not check["ok"]:
                 raise AxiomFailed(

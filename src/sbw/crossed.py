@@ -241,16 +241,15 @@ def aut_out(cm: CrossedModule) -> AutOut:
 
 def link_section(X: Group, K: Subgroup, P: Subgroup,
                  L: Subgroup, Q: Subgroup, m: CMorphism):
-    """The section of X = G x H induced by an iso (Q, H/L, i_Q) -> (P, G/K, i_P).
+    """The section of X = G x H, G = K.parent and H = L.parent, induced by
+    an iso (Q, H/L, i_Q) -> (P, G/K, i_P).
 
-    G and H are ``K.parent`` and ``L.parent``; the caller fetches X once
-    for all its pairs of G and H.  T is the graph of beta on K/L-cosets, S
-    the graph of alpha.  T depends only on (K, L, beta) and S only on
-    (P, Q, alpha), so each is built once per key and kept in X's
-    ``link_t`` / ``link_s`` memo.  The ``Section`` around them is made on
-    every call, and with it the check that S <= T and that S is normal in
-    T: that check is the certificate that the iso route's answer is a
-    section.
+    T is the graph of beta on K/L-cosets, S the graph of alpha.  T depends
+    only on (K, L, beta) and S only on (P, Q, alpha), so each is built once
+    per key and kept in X's ``link_t`` / ``link_s`` memo.  The ``Section``
+    around them is made on every call, and with it the check that S <= T
+    and that S is normal in T: that check is the certificate that the iso
+    route's answer is a section.
     """
     G, H = K.parent, L.parent
     alpha, beta = m.alpha.images, m.beta.images
@@ -295,23 +294,25 @@ def theta(G: Group, K: Subgroup, P: Subgroup, m: CMorphism):
     return link_section(direct_product(G, G), K, P, K, P, m)
 
 
-def linked(X: Group, K: Subgroup, P: Subgroup,
-           L: Subgroup, Q: Subgroup) -> Optional[sections.Section]:
-    """The witness section of X = G x H that (G,K,P,1) and (H,L,Q,1) are
-    linked, or None.
-
-    G and H are ``K.parent`` and ``L.parent``, not ``X.factors``: an
-    interned product's factors may be other objects with the same digest,
-    and the ``from_pair`` memo is kept per object.  Linkage holds exactly
-    when the conjugation crossed modules of the two pairs are isomorphic;
-    the witness is ``link_section`` of the first iso found, checked on
-    every call.  Crossed modules of different orders are never isomorphic,
-    so an order mismatch returns None before either module is built.
-    """
+def link_iso(K: Subgroup, P: Subgroup, L: Subgroup,
+             Q: Subgroup) -> Optional[CMorphism]:
+    """An iso (Q, H/L, i_Q) -> (P, G/K, i_P) for G = K.parent and
+    H = L.parent, or None; crossed modules of different orders are never
+    isomorphic, so an order mismatch returns None before either is built."""
     if K.index != L.index or P.order != Q.order:
         return None
     found = iso_search(from_pair(L.parent, L, Q), from_pair(K.parent, K, P),
                        limit=1)
-    if not found:
-        return None
-    return link_section(X, K, P, L, Q, found[0])
+    return found[0] if found else None
+
+
+def linked(X: Group, K: Subgroup, P: Subgroup,
+           L: Subgroup, Q: Subgroup) -> Optional[sections.Section]:
+    """The witness section of X = G x H that (G,K,P,1) and (H,L,Q,1) are
+    linked, or None: ``link_section`` of the ``link_iso``, checked on every
+    call.  G and H are ``K.parent`` and ``L.parent``, not ``X.factors``: an
+    interned product's factors may be other objects with the same digest,
+    and the ``from_pair`` memo is kept per object.
+    """
+    m = link_iso(K, P, L, Q)
+    return None if m is None else link_section(X, K, P, L, Q, m)

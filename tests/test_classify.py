@@ -133,6 +133,15 @@ def test_linked_pairs_share_a_block():
             assert crossed.linked(X, K0, P0, K, P) is not None
 
 
+def test_linkage_partition_builds_no_product_without_a_linked_pair(
+        monkeypatch):
+    # No two pairs of C5 are linked, so C5 x C5 (order 25, over the
+    # lowered cap) is never built.
+    monkeypatch.setenv("SBW_MAX_ORDER", "24")
+    part = classify.linkage_partition(groups.cyclic(5))
+    assert len(part.blocks) == 4
+
+
 def test_matrix_decomposition_matches_frozen_dims():
     for gid, dims in MATRIX_DIMS.items():
         rep = classify.matrix_decomposition(cg(gid))
