@@ -185,15 +185,15 @@ def iso_search(src: CrossedModule, dst: CrossedModule,
     if not alphas or not betas:
         return []
     probe = src.a.generators()
-    probe_src = tuple(src.boundary.images[g] for g in probe)
+    probe_src = [src.boundary.images[g] for g in probe]
     buckets: dict = {}
     for beta in betas:
-        key = tuple(beta.images[x] for x in probe_src)
+        key = tuple([beta.images[x] for x in probe_src])
         buckets.setdefault(key, []).append(beta)
     out = []
     bd_d = dst.boundary.images
     for alpha in alphas:
-        key = tuple(bd_d[alpha.images[g]] for g in probe)
+        key = tuple([bd_d[alpha.images[g]] for g in probe])
         for beta in buckets.get(key, ()):
             if _is_cmorphism(src, dst, alpha.images, beta.images):
                 out.append(CMorphism(src, dst, alpha, beta))
@@ -299,7 +299,7 @@ def link_iso(K: Subgroup, P: Subgroup, L: Subgroup,
     """An iso (Q, H/L, i_Q) -> (P, G/K, i_P) for G = K.parent and
     H = L.parent, or None; crossed modules of different orders are never
     isomorphic, so an order mismatch returns None before either is built."""
-    if K.index != L.index or P.order != Q.order:
+    if P.order != Q.order or K.index != L.index:
         return None
     found = iso_search(from_pair(L.parent, L, Q), from_pair(K.parent, K, P),
                        limit=1)

@@ -338,8 +338,8 @@ def is_normal_in(A: Subgroup, B: Subgroup) -> bool:
     _require_same_parent(A, B)
     if not B.contains(A):
         return False
-    G = A.parent
-    return all(G.conj(b, a) in A.elem_set
+    t, inv, s = A.parent.table, A.parent._inv, A.elem_set
+    return all(t[t[b][a]][inv[b]] in s
                for b in B.generators() for a in A.generators())
 
 

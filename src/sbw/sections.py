@@ -517,14 +517,13 @@ def constrained_sections(G: Group, H: Group, K: Subgroup, P: Subgroup,
 
 def has_constrained_section(X: Group, K: Subgroup, P: Subgroup,
                             L: Subgroup, Q: Subgroup) -> bool:
-    """Whether ``constrained_sections(G, H, K, P, L, Q)`` is not empty,
-    for X = G x H with G = ``K.parent`` and H = ``L.parent``.
+    """Whether ``constrained_sections(G, H, K, P, L, Q)`` is not empty, for
+    X = G x H, G = ``K.parent`` and H = ``L.parent``.
 
-    The caller fetches X once for all its pairs of G and H.  A class
-    exists exactly when ``_constrained_pairs`` yields a pair: each class
-    there is the class of a yielded pair, and each yielded pair is a
+    A class exists exactly when ``_constrained_pairs`` yields a pair: each
+    class there is the class of a yielded pair, and each yielded pair is a
     section with these middles.  Stops at the first pair; builds no class.
     """
-    if K.index != L.index or P.order != Q.order:
+    if P.order != Q.order or K.index != L.index:
         return False
     return any(_constrained_pairs(X, K, P, L, Q))

@@ -704,8 +704,9 @@ def suite_linkage(max_order: int = 8, catalog=None) -> list:
                 pg = posets.normal_commuting_pairs(G)
                 ph = posets.normal_commuting_pairs(H)
                 n = len(pg) * len(ph)
-                mism = sum((crossed.linked(X, K, P, L, Q) is not None)
-                           != sections.has_constrained_section(X, K, P, L, Q)
+                linked, has = crossed.linked, sections.has_constrained_section
+                mism = sum((linked(X, K, P, L, Q) is not None)
+                           != has(X, K, P, L, Q)
                            for K, P in pg for L, Q in ph)
                 assert mism == 0, f"{mism} of {n} disagree"
                 return f"{n} pair combinations agree"
