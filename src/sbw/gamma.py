@@ -331,18 +331,16 @@ def compose_classes(a: SectionClass, b: SectionClass) -> dict:
 def class_sums(prods, terms) -> dict:
     """The sum of n * prods[k] over the (k, n) in terms, for class products
     prods[k] (class -> int), as class -> int in order of first appearance,
-    zeros dropped; terms are accumulated by class uid."""
+    zeros dropped; terms are accumulated by class, which hashes by
+    identity."""
     acc: dict = {}
-    classes: dict = {}
     for k, n in terms:
         for cls, m in prods[k].items():
-            u = cls.uid
-            if u in acc:
-                acc[u] += n * m
+            if cls in acc:
+                acc[cls] += n * m
             else:
-                acc[u] = n * m
-                classes[u] = cls
-    return {classes[u]: q for u, q in acc.items() if q}
+                acc[cls] = n * m
+    return {cls: q for cls, q in acc.items() if q}
 
 
 def compose(a: GammaElement, b: GammaElement) -> GammaElement:
@@ -361,8 +359,7 @@ def compose(a: GammaElement, b: GammaElement) -> GammaElement:
         raise MiddleMismatch("composition needs a common middle group")
     if not (a.nums and b.nums):  # zero; __init__ checks G x K's order
         return GammaElement(a.left, b.right, {})
-    # Accumulate exact integers over the common denominator a.den * b.den,
-    # keyed by class id.
+    # Accumulate exact integers over the common denominator a.den * b.den.
     left, right = a.nums, b.nums
     store = len(left) > 1
     rows = b._row_sums
@@ -371,7 +368,6 @@ def compose(a: GammaElement, b: GammaElement) -> GammaElement:
         if store:
             b._row_sums = rows
     acc: dict = {}
-    classes: dict = {}
     for cls_a, na in left.items():
         row = rows.get(cls_a.uid)
         if row is None:
@@ -380,14 +376,12 @@ def compose(a: GammaElement, b: GammaElement) -> GammaElement:
             if store:
                 rows[cls_a.uid] = row
         for cls, n in row:
-            u = cls.uid
-            if u in acc:
-                acc[u] += na * n
+            if cls in acc:
+                acc[cls] += na * n
             else:
-                acc[u] = na * n
-                classes[u] = cls
+                acc[cls] = na * n
     return _element(a.left, b.right, a.den * b.den,
-                    {classes[u]: n for u, n in acc.items() if n})
+                    {cls: n for cls, n in acc.items() if n})
 
 
 def opposite_element(a: GammaElement) -> GammaElement:

@@ -429,8 +429,14 @@ def subgroup_lattice(G: Group) -> SubgroupLattice:
                     found[new_elems] = new_gens
                     nxt.append((new_elems, new_gens))
         frontier = nxt
-    subs = [Subgroup(G, elems, gens=gens or None, check=False)
-            for elems, gens in found.items()]
+    # The lattice's subgroups are the shared ones, so the pairs and class
+    # middles built from either are one object per subgroup.
+    subs = []
+    for elems, gens in found.items():
+        s = shared_subgroup(G, tuple(sorted(elems)))
+        if s.gens is None and gens:
+            s.gens = gens
+        subs.append(s)
     subs.sort()
     by_elems = {s.elem_set: s for s in subs}
     # conjugacy classes via orbit of the element set under generator conjugation

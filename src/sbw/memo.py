@@ -21,9 +21,10 @@ The slotted value types (``Subgroup``, ``SectionClass``, ``GammaElement``)
 have no ``_memo`` and keep their few lazy values in slots: a run makes
 10^4 to 10^5 of them, and a dict per instance would be paid on each.
 ``GammaElement`` keeps two: ``_coeffs``, its ``Fraction`` coefficients,
-and ``_row_sums``, the row sums (``gamma.class_sums``, kept as (class,
-integer) pairs) that ``gamma.compose`` made with the element as its right
-operand, keyed by left class id.
+and ``_row_sums``, the row sums that ``gamma.compose`` made with the
+element as its right operand, keyed by left class id.  Section classes
+are interned and hash by identity, so ``gamma.class_sums`` keys its sums
+by the class itself.
 """
 
 from collections import defaultdict

@@ -43,8 +43,7 @@ _UIDS = count()
 class SectionClass:
     """A conjugacy class of sections, named by its least (T, S) pair."""
 
-    __slots__ = ("ambient", "T", "S", "orbit_size", "uid", "_hash", "_rows",
-                 "_middles")
+    __slots__ = ("ambient", "T", "S", "orbit_size", "uid", "_rows", "_middles")
 
     def __init__(self, ambient: Group, T: tuple, S: tuple, orbit_size: int):
         self.ambient = ambient
@@ -53,10 +52,9 @@ class SectionClass:
         self.orbit_size = orbit_size
         # Classes are interned per ambient and product ambients are
         # interned by factor digests, so classes of products with equal
-        # keys are one object, and a memo of class products may key on
-        # ``uid``.
+        # keys are one object: classes compare and hash by identity, and
+        # a memo of class products may key on ``uid``.
         self.uid = next(_UIDS)
-        self._hash = hash(self.key)
         self._rows = None
         self._middles = None
 
@@ -102,13 +100,6 @@ class SectionClass:
             k2t = shared_subgroup(p2s.parent, bit_indices(t_rows[0]))
             self._middles = ((k1t, p1s), (k2t, p2s))
         return self._middles
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, SectionClass)
-                                 and self.key == other.key)
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()

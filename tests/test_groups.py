@@ -1,11 +1,15 @@
 """Group core: tables, subgroups, quotients, cosets, automorphisms."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sbw
 from sbw.catalog import default_catalog
 from sbw.classify import gamma_group
 from sbw.errors import (MixedParents, NoIdentity, NonAssociative, NotClosed,
@@ -203,6 +207,40 @@ def test_memo_tables_belong_to_each_group_object():
     Q2, pi2 = quotient(G2, G2.subgroup((0, 2)))
     assert pi1.source is G1 and pi2.source is G2
     assert (Q1.name, Q2.name) == ("A/2", "B/2")
+
+
+SHARED_SUBGROUPS = """
+from sbw import classify, posets
+from sbw.catalog import default_catalog
+from sbw.groups import Group, shared_subgroup, subgroup_lattice
+
+cat = default_catalog()
+D8, C42 = cat.by_id("D8").group, cat.by_id("C4xC2").group
+assert "subgroup_lattice" not in D8._memo
+assert "subgroup_lattice" not in C42._memo
+# D8: every shared subgroup exists before the lattice; C4xC2: after it.
+for s in subgroup_lattice(Group(D8.table)).all:
+    shared_subgroup(D8, s.elems)
+subgroup_lattice(D8)
+subgroup_lattice(C42)
+for G in (D8, C42):
+    for pair in posets.normal_commuting_pairs(G):
+        for s in pair:
+            assert s is shared_subgroup(G, s.elems), s
+    for b in classify.covering_basis(G):
+        for s in b.middles()[0] + b.middles()[1]:
+            assert s is shared_subgroup(G, s.elems), s
+"""
+
+
+def test_lattice_pairs_and_class_middles_are_the_shared_subgroups():
+    # A fresh process, so that which of shared_subgroup and
+    # subgroup_lattice makes a subgroup first is set by the script.
+    src = os.path.dirname(os.path.dirname(sbw.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", SHARED_SUBGROUPS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_subgroup_checks_closure():

@@ -2,10 +2,11 @@
 
 import pytest
 
-from sbw import posets, sections
+from sbw import gamma, posets, sections
 from sbw.catalog import default_catalog
 from sbw.errors import ConditionViolated, NotNormal, NotSubgroup
 from sbw.groups import direct_product, generated_subgroup
+from sbw.jsonio import section_from_json, section_to_json
 
 
 def cg(gid):
@@ -75,7 +76,41 @@ def test_class_keys_separate_equal_tables_with_different_splits():
     for cls in (a, b):
         amb = cls.ambient
         assert cls.key == (amb.digest, amb.factor_digests, cls.T, cls.S)
-        assert hash(cls) == hash(cls.key)
+        assert sections.canonical_section(cls.ambient, cls.T, cls.S) is cls
+
+
+@pytest.mark.parametrize("left,right", [("S3", "C2"), ("D8", "D8"),
+                                        ("C2", "Q8")])
+def test_section_classes_are_interned(left, right):
+    # Classes compare and hash by identity, so every route to a class must
+    # reach the one object that enumerate_sections lists for it.
+    G, H = cg(left), cg(right)
+    X = direct_product(G, H)
+    classes = sections.enumerate_sections(X)
+    by_pair = {(c.T, c.S): c for c in classes}
+    assert len(by_pair) == len(classes)
+    perms = [X.conj_perm(g) for g in X.generators()]
+    moved = 0
+    for cls in classes:
+        for perm in perms:
+            T = tuple(sorted(perm[x] for x in cls.T))
+            S = tuple(sorted(perm[x] for x in cls.S))
+            if (T, S) != (cls.T, cls.S):
+                assert sections.canonical_section(X, T, S) is cls
+                moved += 1
+                break
+        assert sections.opposite_class(sections.opposite_class(cls)) is cls
+        assert section_from_json(section_to_json(cls), X) is cls
+    # C2 x Q8 is Hamiltonian: every class there is its own orbit.
+    assert moved == sum(c.orbit_size > 1 for c in classes)
+    for c in sections.enumerate_sections(direct_product(G, G))[:8]:
+        for prod in gamma.class_products(c, classes[:60]):
+            for r in prod:
+                assert by_pair[(r.T, r.S)] is r
+    if G is H:
+        for K, P in posets.normal_commuting_pairs(G):
+            e = gamma.e_class(G, K, P)
+            assert by_pair[(e.T, e.S)] is e
 
 
 def test_goursat_round_trip_on_every_subgroup():

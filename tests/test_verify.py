@@ -157,6 +157,28 @@ def test_linkage_checks_the_cap_on_each_product(monkeypatch):
             assert c.ok, c.detail
 
 
+@pytest.mark.parametrize("limit", [verify._FULL_COVERING_LIMIT, -1])
+def test_a_raise_in_one_groups_set_up_fails_only_that_group(monkeypatch,
+                                                            limit):
+    # limit -1 sends every group to witness mode.
+    monkeypatch.setattr(verify, "_FULL_COVERING_LIMIT", limit)
+    passing = verify.suite_idempotents(max_order=4)
+    C3 = CAT.by_id("C3").group
+    real = classify.linkage_partition
+
+    def broken(G):
+        if G is C3:
+            raise KeyError("lost")
+        return real(G)
+
+    monkeypatch.setattr(verify.classify, "linkage_partition", broken)
+    checks = verify.suite_idempotents(max_order=4)
+    assert [(c.name, c.tag, c.detail) for c in checks if not c.ok] == [
+        ("C3 e-join grid", "internal-error", "KeyError: 'lost'")]
+    assert [(c.name, c.detail) for c in checks if c.ok] == [
+        (c.name, c.detail) for c in passing if not c.name.startswith("C3 ")]
+
+
 @pytest.mark.parametrize("wrong_side", ["E_z o b", "b o E_z"])
 def test_covering_checks_catch_a_wrong_product(monkeypatch, wrong_side):
     G = CAT.by_id("C2xC2").group
