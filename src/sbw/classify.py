@@ -543,24 +543,24 @@ class IdealOracleReport:
 
 def ideal_span_oracle(G: Group, catalog=None,
                       allow_large: bool = False) -> IdealOracleReport:
-    """Brute-force span of every composition through a smaller group.
+    """Rank of the span of a . b for a in Gamma(G,H), b in Gamma(H,G).
 
-    Row-reduces, over the rationals, the span of a . b for a in Gamma(G,H),
-    b in Gamma(H,G), H running over all strictly smaller catalog groups, and
-    compares it with the predicted coordinate subspace.  Feasible for
-    |G| <= 6; larger orders need allow_large=True.
+    H runs over all strictly smaller catalog groups, and the span is
+    compared with the predicted coordinate subspace.  Gated to |G| <= 6
+    unless allow_large=True.  A one-class product m.[c] has m != 0 (m
+    counts double cosets), so the span contains the coordinate space on
+    ``cover``, the classes of such products; every product lies in the one
+    on ``support``, all classes seen.  If support <= cover the two are
+    equal and the rank is len(cover).  Otherwise ``rational_rank`` reduces
+    the unit vectors of ``cover`` and the distinct multi-class products.
     """
     if G.order > 6 and not allow_large:
         raise AxiomFailed("ideal span oracle is gated to |G| <= 6; "
                           "pass allow_large=True to override")
-    amb = direct_product(G, G)
-    all_classes = sections.enumerate_sections(amb)
-    cindex = {c: i for i, c in enumerate(all_classes)}
+    all_classes = sections.enumerate_sections(direct_product(G, G))
     report_src = essential_report(G, catalog)
     predicted = set(_predicted_from_report(report_src))
-    # Most products repeat, so only distinct vectors reach the rank.
-    vectors = set()
-    support = set()
+    cover, support, mixed = set(), set(), set()
     for gid, H in _catalog_groups(catalog):
         if H.order >= G.order:
             continue
@@ -568,11 +568,14 @@ def ideal_span_oracle(G: Group, catalog=None,
         right = sections.enumerate_sections(direct_product(H, G))
         for a in left:
             for prod in gamma.class_products(a, right):
-                if prod:
+                if len(prod) == 1:
+                    cover.update(prod)
+                elif prod:
                     support.update(prod)
-                    vectors.add(frozenset(
-                        [(cindex[c], m) for c, m in prod.items()]))
-    rank = rational_rank([dict(v) for v in vectors])
+                    mixed.add(frozenset(prod.items()))
+    support |= cover
+    rank = len(cover) if support <= cover else rational_rank(
+        [{c: 1} for c in cover] + [dict(v) for v in mixed])
     report = IdealOracleReport(
         group=G,
         full_dim=len(all_classes),

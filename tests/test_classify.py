@@ -316,6 +316,102 @@ def test_ideal_span_oracle_is_gated_by_order():
         classify.ideal_span_oracle(cg("C8"), CAT)
 
 
+def _distinct_vectors(prods, all_classes) -> list:
+    cindex = {c: i for i, c in enumerate(all_classes)}
+    return [dict(v) for v in {frozenset((cindex[c], m) for c, m in p.items())
+                              for p in prods if p}]
+
+
+def brute_force_oracle(G, cat):
+    """The span oracle by elimination alone: ``rational_rank`` over every
+    distinct product, keyed by class index.  Returns the report and the
+    number of multi-class products seen."""
+    all_classes = sections.enumerate_sections(groups.direct_product(G, G))
+    report = classify.essential_report(G, cat)
+    predicted = set(classify._predicted_from_report(report))
+    prods = []
+    for _, H in classify._catalog_groups(cat):
+        if H.order < G.order:
+            right = sections.enumerate_sections(groups.direct_product(H, G))
+            for a in sections.enumerate_sections(groups.direct_product(G, H)):
+                prods.extend(gamma.class_products(a, right))
+    rank = classify.rational_rank(_distinct_vectors(prods, all_classes))
+    support = set().union(*prods)
+    return classify.IdealOracleReport(
+        group=G, full_dim=len(all_classes), predicted_dim=len(predicted),
+        span_rank=rank, essential_dim=len(all_classes) - rank,
+        support_ok=support <= predicted, rank_ok=rank == len(predicted),
+        block_sum_ok=len(all_classes) - rank == report.essential_dim,
+    ), sum(len(p) > 1 for p in prods)
+
+
+@pytest.mark.parametrize("gid,allow_large", [
+    ("C2", False), ("C3", False), ("C4", False), ("C2xC2", False),
+    ("S3", False), ("C5", True), ("C6", True), ("C7", True), ("C8", True)])
+def test_ideal_span_oracle_certificate_matches_brute_force(gid, allow_large):
+    G = cg(gid)
+    rep = classify.ideal_span_oracle(G, CAT, allow_large=allow_large)
+    brute, mixed = brute_force_oracle(G, CAT)
+    assert rep == brute
+    # C8 is the one group here with multi-class products (705 of them);
+    # the one-class products still cover its support.
+    assert (mixed > 0) == (gid == "C8"), mixed
+
+
+@pytest.mark.parametrize("gid", sorted(ORACLE))
+def test_ideal_span_oracle_runs_no_elimination_on_verified_groups(
+        gid, monkeypatch):
+    def refuse(vectors):
+        raise AssertionError(f"{gid} reached rational_rank")
+
+    monkeypatch.setattr(classify, "rational_rank", refuse)
+    rep = classify.ideal_span_oracle(cg(gid), CAT)
+    assert rep.span_rank == ORACLE[gid][2]
+
+
+@pytest.mark.parametrize("fused", [False, True])
+def test_ideal_span_oracle_falls_back_when_the_cover_falls_short(
+        fused, monkeypatch):
+    """Rewrite the one-class products m.[c0] (and, if fused, m.[c1]) as
+    m.([c0] + [c1]), so that c0 is seen only inside two-class products.
+    Unfused, c1 stays in the cover and the rank is unchanged; fused, the
+    rank falls by one and the oracle reports the mismatch."""
+    G = cg("S3")
+    report = classify.essential_report(G, CAT)  # memoized before the patch
+    c0, c1 = [c for c in sorted(classify._predicted_from_report(report))
+              if not sections.is_covering(c)][:2]
+    rewritten = {c0, c1} if fused else {c0}
+    real = gamma.class_products
+    seen = []
+
+    def products(a, bs):
+        out = []
+        for p in real(a, bs):
+            if len(p) == 1 and set(p) <= rewritten:
+                (m,) = p.values()
+                p = {c0: m, c1: m}
+            out.append(p)
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(classify.gamma, "class_products", products)
+    all_classes = sections.enumerate_sections(groups.direct_product(G, G))
+    full, predicted = ORACLE["S3"][0], ORACLE["S3"][1]
+    if not fused:
+        rep = classify.ideal_span_oracle(G, CAT)
+        rank = classify.rational_rank(_distinct_vectors(seen, all_classes))
+        assert rep.span_rank == rank == predicted
+        assert rep.essential_dim == full - rank
+        assert rep.support_ok and rep.rank_ok and rep.block_sum_ok
+    else:
+        with pytest.raises(AxiomFailed) as err:
+            classify.ideal_span_oracle(G, CAT)
+        rank = classify.rational_rank(_distinct_vectors(seen, all_classes))
+        assert rank == predicted - 1
+        assert f"support_ok=True rank={rank} predicted={predicted}" in str(
+            err.value)
+
+
 def predicted_ideal_classes(G, cat) -> tuple:
     """Classes of G x G predicted to span the ideal of factorizable maps.
 
