@@ -183,12 +183,6 @@ class Group:
             raise NotAProduct(f"{self.name} carries no factor metadata")
         return a * self.factors[1].order + b
 
-    def split(self, x: int) -> tuple:
-        from .errors import NotAProduct
-        if self.factors is None:
-            raise NotAProduct(f"{self.name} carries no factor metadata")
-        return divmod(x, self.factors[1].order)
-
     def __eq__(self, other):
         return isinstance(other, Group) and self.digest == other.digest
 

@@ -58,11 +58,6 @@ class FinitePoset:
     def leq(self, x, y) -> bool:
         return (self.up[self.index[x]] >> self.index[y]) & 1 == 1
 
-    def upper_set(self, x) -> list:
-        """Indices of all y >= x."""
-        mask = self.up[self.index[x]]
-        return [j for j in range(len(self.elements)) if (mask >> j) & 1]
-
     def join_index(self, i: int, j: int) -> Optional[int]:
         """Index of the join, or None when no least upper bound exists."""
         joins = memo.table(self, "join")

@@ -721,9 +721,11 @@ def suite_linkage(max_order: int = 8, catalog=None) -> list:
 
 # -- matrix decomposition -------------------------------------------------------
 
-_MATRIX_IDS = ("C2", "C3", "C4", "C2xC2", "S3", "C6", "D8", "Q8")
-_MATRIX_DIMS = {"C2": 4, "C3": 7, "C4": 14, "C2xC2": 118, "S3": 6,
-                "C6": 28, "D8": 61, "Q8": 101}
+_MATRIX_IDS = ("C2", "C3", "C4", "C2xC2", "C5", "S3", "C6", "C7", "C8",
+               "C4xC2", "D8", "Q8")
+_MATRIX_DIMS = {"C2": 4, "C3": 7, "C4": 14, "C2xC2": 118, "C5": 13, "S3": 6,
+                "C6": 28, "C7": 19, "C8": 44, "C4xC2": 384, "D8": 61,
+                "Q8": 101}
 
 
 def suite_matrix(max_order: int = 8, catalog=None) -> list:

@@ -5,10 +5,12 @@ the library and once by a throwaway script over raw subgroup enumerations.
 They guard against silent regressions in the canonical-form machinery.
 """
 
+import dataclasses
+
 import pytest
 
 from sbw import catalog, classify, crossed, gamma, groups, posets, sections
-from sbw.errors import AxiomFailed, NotInPoset
+from sbw.errors import AxiomFailed, DecompositionMismatch, NotInPoset
 
 CAT = catalog.default_catalog()
 
@@ -35,8 +37,13 @@ MATRIX_DIMS = {
     "C3": [1, 2, 2, 2],
     "C4": [1, 1, 1, 1, 2, 2, 2, 2, 2],
     "C2xC2": [1, 6, 6, 6, 9, 9, 9, 18, 18, 36],
+    "C5": [1, 4, 4, 4],
     "S3": [1, 1, 1, 1, 1, 1],
     "C6": [1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2],
+    "C7": [1, 6, 6, 6],
+    "C8": [1, 1, 1, 1, 2, 2, 2, 2, 4, 4, 4, 4, 4, 4, 4, 4],
+    "C4xC2": [1, 4, 6, 6, 6, 6, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 9, 9,
+              16, 16, 16, 16, 16, 16, 16, 25, 32, 32, 32],
     "D8": [1, 1, 1, 2, 2, 2, 2, 2, 2, 4, 4, 6, 6, 8, 9, 9],
     "Q8": [1, 1, 6, 6, 6, 6, 6, 6, 9, 9, 9, 18, 18],
 }
@@ -89,7 +96,8 @@ def test_covering_classes_are_covering_and_canonically_ordered():
 
 
 def check_covering_closure(basis):
-    """Products of covering classes are supported on covering classes."""
+    """Products of covering classes are supported on covering classes: E^c
+    is a subalgebra, as ``matrix_decomposition``'s certificate assumes."""
     for a in basis:
         for b in basis:
             for c in gamma.compose_classes(a, b):
@@ -99,7 +107,7 @@ def check_covering_closure(basis):
     return True
 
 
-@pytest.mark.parametrize("gid", ["C2", "C3", "C4", "S3"])
+@pytest.mark.parametrize("gid", list(MATRIX_DIMS))
 def test_covering_products_stay_covering(gid):
     basis = classify.covering_basis(cg(gid))
     assert check_covering_closure(basis) is True
@@ -150,6 +158,154 @@ def test_matrix_decomposition_matches_frozen_dims():
         assert sum(b.dim for b in rep.blocks) == rep.covering_dim
         for b in rep.blocks:
             assert b.dim == b.n * b.n * b.gamma_order
+
+
+def brute_matrix_decomposition(G):
+    """The matrix shape by brute force: each cell f_i b f_j over all of its
+    block's classes b (rank |Gamma| on the bimodule classes, and no more
+    over all of them), the diagonal maps on all of Gamma x Gamma, and the
+    projection b -> b f_block.  The reference for the certificate."""
+    basis = classify.covering_basis(G)
+    part = classify.linkage_partition(G)
+    cindex = {c: i for i, c in enumerate(basis)}
+
+    def as_vector(elt):
+        return {cindex[c]: coeff for c, coeff in elt.coeffs.items()}
+
+    by_block = {}
+    for cls in basis:
+        l0, r0 = cls.middles()
+        assert part.block_of[l0] == part.block_of[r0]
+        by_block.setdefault(part.block_of[l0], []).append(cls)
+    blocks = []
+    for bi, members in enumerate(part.blocks):
+        gammas = [classify.gamma_group(G, K, P) for K, P in members]
+        gsize = gammas[0].order
+        assert {gg.order for gg in gammas} == {gsize}
+        n = len(members)
+        supported = by_block.get(bi, [])
+        assert len(supported) == n * n * gsize
+        fs = [posets.f_idempotent(G, p) for p in members]
+        f_block = sum(fs[1:], fs[0])
+        for i in range(n):
+            for j in range(n):
+                bset = sections.constrained_sections(
+                    G, G, *members[i], *members[j])
+                assert len(bset) == gsize
+                cell = {b: as_vector(gamma.compose(gamma.compose(
+                    fs[i], gamma.basis_element(G, G, b)), fs[j]))
+                    for b in supported}
+                assert classify.rational_rank([cell[b] for b in bset]) \
+                    == gsize
+                assert classify.rational_rank(list(cell.values())) == gsize
+        for gg, fi in zip(gammas, fs):
+            images = {x: gamma.compose(gamma.compose(fi, gg.element(x)), fi)
+                      for x in gg.classes}
+            for x in gg.classes:
+                for y in gg.classes:
+                    assert gamma.compose(images[x], images[y]) \
+                        == images[gg.mul(x, y)]
+        proj = [as_vector(gamma.compose(gamma.basis_element(G, G, b),
+                                        f_block)) for b in supported]
+        assert classify.rational_rank(proj) == len(supported)
+        blocks.append(classify.BlockReport(
+            members=members, n=n, gamma_order=gsize,
+            irreducibles=classify.irr_count(gammas[0]), dim=n * n * gsize))
+    assert sum(b.dim for b in blocks) == len(basis)
+    return classify.MatrixReport(group=G, covering_dim=len(basis),
+                                 blocks=tuple(blocks))
+
+
+def _same_fields(a, b):
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+
+@pytest.mark.parametrize("gid", list(MATRIX_DIMS))
+def test_matrix_certificate_matches_brute_force(gid):
+    G = cg(gid)
+    rep = classify.matrix_decomposition(G)
+    brute = brute_matrix_decomposition(G)
+    _same_fields(rep, brute)
+    assert len(rep.blocks) == len(brute.blocks)
+    for block, ref in zip(rep.blocks, brute.blocks):
+        _same_fields(block, ref)
+
+
+@pytest.mark.parametrize("gid", ["C3", "C2xC2", "Q8", "C4xC2"])
+def test_matrix_certificate_composes_cells_on_bimodule_classes_only(
+        gid, monkeypatch):
+    """Per block, 2 n^2 |Gamma| composes for the cells and n^2 |Gamma| for
+    the projection; per member, 2 |Gamma| for the diagonal images and
+    |Gamma| for each generator of Gamma."""
+    G = cg(gid)
+    rep = classify.matrix_decomposition(G)  # memoize the basis and Gammas
+    expected = 0
+    for block in rep.blocks:
+        expected += 3 * block.n * block.n * block.gamma_order
+        for K, P in block.members:
+            gg = classify.gamma_group(G, K, P)
+            expected += (2 + len(gg.group.generators())) * gg.order
+    real = gamma.compose
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(classify.gamma, "compose", counted)
+    assert classify.matrix_decomposition(G) == rep
+    assert len(calls) == expected
+
+
+def _faulty_bimodule_sets(monkeypatch, G, fault):
+    """Rewrite each bimodule set of G x G that matrix_decomposition reads,
+    after a first call has memoized everything else."""
+    classify.matrix_decomposition(G)
+    real = sections.constrained_sections
+
+    def faulty(X, Y, *pairs):
+        bset = real(X, Y, *pairs)
+        return fault(bset) if X is G and Y is G else bset
+
+    monkeypatch.setattr(classify.sections, "constrained_sections", faulty)
+
+
+def test_matrix_decomposition_rejects_a_deficient_cell(monkeypatch):
+    # One class repeated |Gamma| times: the right size, but rank 1, which
+    # falls short on C3's blocks with |Gamma| = 2.
+    G = cg("C3")
+    _faulty_bimodule_sets(monkeypatch, G, lambda bset: bset[:1] * len(bset))
+    with pytest.raises(DecompositionMismatch, match="deficient rank"):
+        classify.matrix_decomposition(G)
+
+
+def test_matrix_decomposition_rejects_a_wrong_size_bimodule_set(
+        monkeypatch):
+    G = cg("C2")
+    _faulty_bimodule_sets(monkeypatch, G, lambda bset: bset + bset[:1])
+    with pytest.raises(DecompositionMismatch, match="bimodule set size"):
+        classify.matrix_decomposition(G)
+
+
+def test_matrix_decomposition_rejects_a_nonmultiplicative_generator(
+        monkeypatch):
+    # Doubling the first generator's element g gives f (2g) f . f y f =
+    # 2 f gy f against f gy f, for every y but the identity.
+    G = cg("C3")
+    classify.matrix_decomposition(G)
+    real = classify.GammaGroup.element
+
+    def doubled(self, cls, coeff=1):
+        gens = self.group.generators()
+        if gens and cls is self.classes[gens[0]]:
+            coeff *= 2
+        return real(self, cls, coeff)
+
+    monkeypatch.setattr(classify.GammaGroup, "element", doubled)
+    with pytest.raises(DecompositionMismatch, match="not multiplicative"):
+        classify.matrix_decomposition(G)
 
 
 def test_gamma_group_on_klein_four():

@@ -112,9 +112,10 @@ def chained_f(G, pair):
     i = poset.index[pair]
     mob = poset.mobius()
     out = gamma.zero(G, G)
-    for j in poset.upper_set(pair):
-        L, Q = poset.elements[j]
-        out = out + mob[(i, j)] * gamma.e_idempotent(G, L, Q)
+    for j in range(len(poset)):
+        if (poset.up[i] >> j) & 1:
+            L, Q = poset.elements[j]
+            out = out + mob[(i, j)] * gamma.e_idempotent(G, L, Q)
     return out
 
 
