@@ -149,9 +149,6 @@ class CMorphism:
         self.alpha = alpha
         self.beta = beta
 
-    def is_iso(self) -> bool:
-        return self.alpha.is_bijective() and self.beta.is_bijective()
-
     def __repr__(self):
         return f"CMorphism({self.alpha.images}, {self.beta.images})"
 
@@ -289,7 +286,8 @@ def link_section(X: Group, K: Subgroup, P: Subgroup,
 def theta(G: Group, K: Subgroup, P: Subgroup, m: CMorphism):
     """Realize an automorphism of (P, G/K, i_P) as a section of G x G."""
     cm = from_pair(G, K, P)
-    if m.src is not cm or m.dst is not cm or not m.is_iso():
+    if m.src is not cm or m.dst is not cm or not (
+            m.alpha.is_bijective() and m.beta.is_bijective()):
         raise NotAutomorphism("expected an automorphism of (P, G/K, i_P)")
     return link_section(direct_product(G, G), K, P, K, P, m)
 

@@ -337,16 +337,11 @@ def is_normal_in(A: Subgroup, B: Subgroup) -> bool:
                for b in B.generators() for a in A.generators())
 
 
-def centralizer(G: Group, X: Subgroup) -> Subgroup:
-    gens = X.generators()
+def center(G: Group) -> Subgroup:
     table = G.table
     elems = [g for g in range(G.order)
-             if all(table[g][x] == table[x][g] for x in gens)]
+             if all(table[g][x] == table[x][g] for x in G.generators())]
     return Subgroup(G, elems, check=False)
-
-
-def center(G: Group) -> Subgroup:
-    return centralizer(G, G.full_subgroup())
 
 
 def commute_elementwise(A: Subgroup, B: Subgroup) -> bool:
@@ -707,6 +702,8 @@ def direct_product(G: Group, H: Group) -> Group:
     """The direct product with (g, h) stored at index g*|H| + h.
 
     Checked against the cap first, then interned so all callers share it.
+    Not re-validated: a product of group tables is Latin, has identity
+    0 = (0, 0) and is associative in each component, so it is a group.
     """
     ho = H.order
     n = G.order * ho
@@ -725,8 +722,8 @@ def direct_product(G: Group, H: Group) -> Group:
                 rc = ra[c] * ho
                 for d in range(ho):
                     row[c * ho + d] = rc + rb[d]
-    P = Group(table, name=f"{G.name}x{H.name}", factors=(G, H))
-    _PRODUCT_REGISTRY[key] = P
+    P = _PRODUCT_REGISTRY[key] = Group(
+        table, name=f"{G.name}x{H.name}", factors=(G, H), validate=False)
     return P
 
 

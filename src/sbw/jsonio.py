@@ -6,6 +6,7 @@ variation, so identical inputs produce byte-identical output.
 
 import json
 from fractions import Fraction
+from functools import reduce
 
 from .errors import WorkbenchError
 from .groups import (Group, Subgroup, cyclic, dihedral, direct_product,
@@ -76,10 +77,7 @@ def group_from_json(data: dict) -> Group:
             parts = [group_from_json(a) for a in args]
             if len(parts) < 2:
                 raise WorkbenchError("product construct needs two factors")
-            out = parts[0]
-            for p in parts[1:]:
-                out = direct_product(out, p)
-            return out
+            return reduce(direct_product, parts)
         if not isinstance(kind, str) or kind not in _CONSTRUCTORS:
             raise WorkbenchError(f"unknown construct {kind!r}")
         _ints(args, f"{kind} construct needs integer args")

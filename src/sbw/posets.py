@@ -110,6 +110,7 @@ class FinitePoset:
 
 # -- the poset of commuting normal pairs ----------------------------------------
 
+@memo.once
 def normal_commuting_pairs(G: Group) -> tuple:
     """All pairs (K, P) of normal subgroups of G with [K, P] = 1, sorted."""
     normals = normal_subgroups(G)

@@ -18,7 +18,8 @@ from sbw.groups import (Group, automorphism_count, conjugacy_classes, cyclic,
                         dihedral, direct_product, double_cosets,
                         generated_subgroup, group_from_perm_gens,
                         normal_subgroups, product_set, quaternion, quotient,
-                        subgroup_lattice, symmetric)
+                        subgroup_lattice, symmetric, _validate_table)
+from sbw.jsonio import group_from_json
 
 
 def cg(gid):
@@ -311,6 +312,25 @@ def test_direct_product_metadata_round_trips():
     a = X.pair(1, 1)
     b = X.pair(2, 0)
     assert divmod(X.mul(a, b), H.order) == (G.mul(1, 2), H.mul(1, 0))
+
+
+def test_direct_product_tables_pass_the_full_group_check():
+    # direct_product builds its Group without validation, on the argument
+    # that a product of group tables is a group table; the full check
+    # must accept each product it builds.
+    small = [cg(gid) for gid in ALL_IDS]
+    products = [direct_product(G, H) for G in small for H in small]
+    C2 = cg("C2")
+    products.append(direct_product(direct_product(C2, C2), C2))
+    given = group_from_json({"perm_gens": [[1, 2, 0], [1, 0, 2]],
+                             "name": "J"})
+    products += [direct_product(given, cg("C4")),
+                 direct_product(cg("Q8"), given)]
+    assert len(products) == 14 * 14 + 3
+    for X in products:
+        G, H = X.factors
+        assert X.order == G.order * H.order
+        _validate_table(X.table)
 
 
 def test_perm_gens_build_symmetric_group():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from sbw import catalog, classify, gamma, groups, posets, verify
+from sbw import (catalog, classify, crossed, gamma, groups, posets,
+                 sections, verify)
 from sbw.errors import WorkbenchError
 
 CAT = catalog.default_catalog()
@@ -124,6 +125,57 @@ def test_linkage_asks_the_section_route(monkeypatch):
     assert len(checks) == 3
     assert [(c.name, c.detail) for c in checks if not c.ok] == [
         ("C2 vs C2 two linkage routes", f"AssertionError: 1 of {n} disagree")]
+
+
+def _linkage_all_combinations(max_order: int) -> dict:
+    """Row name -> (disagreements, combinations), with both linkage routes
+    called on every combination of every row: the reference that the
+    signature-reduced suite must agree with."""
+    rows = {}
+    cat = verify._groups(max_order)
+    for i, (ga, G) in enumerate(cat):
+        for gb, H in cat[i:]:
+            X = groups.direct_product(G, H)
+            pg = posets.normal_commuting_pairs(G)
+            ph = posets.normal_commuting_pairs(H)
+            mism = sum((crossed.linked(X, K, P, L, Q) is not None)
+                       != sections.has_constrained_section(X, K, P, L, Q)
+                       for K, P in pg for L, Q in ph)
+            rows[f"{ga} vs {gb} two linkage routes"] = (mism, len(pg) * len(ph))
+    return rows
+
+
+def test_linkage_suite_agrees_with_the_all_combinations_sweep():
+    reference = _linkage_all_combinations(4)
+    assert len(reference) == 15
+    assert all(mism == 0 for mism, _ in reference.values())
+    checks = verify.suite_linkage(max_order=4)
+    assert {c.name: (c.ok, c.detail) for c in checks} == {
+        name: (mism == 0, f"{n} pair combinations agree")
+        for name, (mism, n) in reference.items()}
+
+
+def test_linkage_runs_both_routes_only_where_orders_match(monkeypatch):
+    # One row, C2xC2 vs D8: both routes on each order-matched combination
+    # and on one combination per mismatched pair of order signatures.
+    G, H = CAT.by_id("C2xC2").group, CAT.by_id("D8").group
+    real = verify.crossed.linked
+    calls = []
+
+    def counted(X, K, P, L, Q):
+        if K.parent is G and L.parent is H:
+            calls.append((K, P, L, Q))
+        return real(X, K, P, L, Q)
+
+    monkeypatch.setattr(verify.crossed, "linked", counted)
+    checks = verify.suite_linkage(max_order=8)
+    assert all(c.ok for c in checks)
+    sg = [(P.order, K.index) for K, P in posets.normal_commuting_pairs(G)]
+    sh = [(Q.order, L.index) for L, Q in posets.normal_commuting_pairs(H)]
+    matched = sum(a == b for a in sg for b in sh)
+    mismatched = len({(a, b) for a in sg for b in sh if a != b})
+    assert (matched, mismatched) == (56, 109)
+    assert len(calls) == matched + mismatched < len(sg) * len(sh)
 
 
 def test_linkage_fetches_each_product_once(monkeypatch):
