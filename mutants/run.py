@@ -85,8 +85,8 @@ MUTANTS = (
 
 
 def _pytest(work: Path, env: dict, tests) -> int:
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+           "no:cacheprovider", *tests]
     return subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 

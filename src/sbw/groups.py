@@ -779,12 +779,12 @@ def as_group(P: Subgroup) -> tuple:
 class CosetView:
     """The quotient P/K of a subgroup pair, with maps to and from the parent.
 
-    ``group`` is the quotient as a table group, ``idx(g)`` the coset index
-    of a parent element g in P (-1 outside P), ``members[i]`` the parent
-    elements of coset i in ascending order and ``rep(i)`` the least of them.
+    ``group`` is the quotient as a table group, ``indices[g]`` = ``idx(g)``
+    the coset index of parent element g in P (-1 outside P), ``members[i]``
+    the parent elements of coset i, ascending, and ``rep(i)`` the least.
     """
 
-    __slots__ = ("group", "members", "_idx")
+    __slots__ = ("group", "members", "indices")
 
     def __init__(self, parent: Group, P: Subgroup, K: Subgroup):
         if not is_normal_in(K, P):
@@ -797,14 +797,14 @@ class CosetView:
         idx = [-1] * parent.order
         for e, i in sub_idx.items():
             idx[e] = pi.images[i]
-        self._idx = tuple(idx)
+        self.indices = tuple(idx)
         members = [[] for _ in range(Q.order)]
         for e in P.elems:
             members[idx[e]].append(e)
         self.members = tuple(map(tuple, members))
 
     def idx(self, g: int) -> int:
-        return self._idx[g]
+        return self.indices[g]
 
     def rep(self, i: int) -> int:
         return self.members[i][0]

@@ -415,8 +415,8 @@ def _t_candidates(ambient: Group, K: Subgroup, L: Subgroup) -> tuple:
     gk = coset_structure(G, G.full_subgroup(), K)
     hl = coset_structure(H, H.full_subgroup(), L)
     ho = H.order
-    gi = tuple([gk.idx(g) for g in range(G.order)])
-    hi = [hl.idx(h) for h in range(ho)]
+    gi = gk.indices
+    hi = hl.indices
     cosets = hl.members
     kl_gens = [k * ho for k in K.generators()] + list(L.generators())
     out = []

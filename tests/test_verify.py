@@ -141,7 +141,8 @@ def _linkage_all_combinations(max_order: int) -> dict:
             mism = sum((crossed.linked(X, K, P, L, Q) is not None)
                        != sections.has_constrained_section(X, K, P, L, Q)
                        for K, P in pg for L, Q in ph)
-            rows[f"{ga} vs {gb} two linkage routes"] = (mism, len(pg) * len(ph))
+            name = f"{ga} vs {gb} two linkage routes"
+            rows[name] = (mism, len(pg) * len(ph))
     return rows
 
 
