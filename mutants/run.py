@@ -38,6 +38,10 @@ _LINKAGE_REF = ("tests/test_verify.py::"
                 "test_linkage_suite_agrees_with_the_all_combinations_sweep")
 _COVER_TEST = ("tests/test_classify.py::"
                "test_ideal_span_oracle_falls_back_when_the_cover_falls_short")
+_FULL_MODE = ("tests/test_verify.py::"
+              "test_covering_checks_catch_a_wrong_product[E_z o b]")
+_WITNESS_MODE = ("tests/test_verify.py::"
+                 "test_witness_mode_passes_on_small_groups[C2xC2]")
 
 MUTANTS = (
     # direct_product builds its Group unvalidated; the certificate test
@@ -81,6 +85,23 @@ MUTANTS = (
            "G, G, *members[j], *members[i])",
            ("tests/test_classify.py::"
             "test_matrix_decomposition_matches_frozen_dims",)),
+    # The idempotents checks read the pair poset by position.
+    Mutant("grid-joins-the-diagonal", "src/sbw/verify.py",
+           "join = poset.join_index(z, w)",
+           "join = poset.join_index(z, z)",
+           (_FULL_MODE, _WITNESS_MODE)),
+    Mutant("f-laws-read-the-order-reversed", "src/sbw/verify.py",
+           "if poset.up[x] >> y & 1:",
+           "if poset.up[y] >> x & 1:",
+           (_FULL_MODE,)),
+    Mutant("join-wants-scale-negated", "src/sbw/verify.py",
+           "G.order // z[1].order if up >> m0 & 1 else 0",
+           "G.order // z[1].order if not up >> m0 & 1 else 0",
+           (_FULL_MODE, _WITNESS_MODE)),
+    Mutant("witness-mobius-terms-from-the-wrong-row", "src/sbw/verify.py",
+           "mz = mob.get((x, z))\n",
+           "mz = mob.get((z, x))\n",
+           (_WITNESS_MODE,)),
 )
 
 

@@ -117,8 +117,8 @@ def cmd_idempotents(args):
     poset = posets.build_poset(G)
     pairs = poset.elements
     payload = jsonio.poset_to_json(G)
-    payload["join"] = [[poset.index[poset.join(p, q)] for q in pairs]
-                       for p in pairs]
+    payload["join"] = [[poset.join_index(i, j) for j in range(len(pairs))]
+                       for i in range(len(pairs))]
     payload["e"] = [jsonio.element_to_json(posets.e_idempotent(G, p))
                     for p in pairs]
     payload["f"] = [jsonio.element_to_json(posets.f_idempotent(G, p))

@@ -575,6 +575,7 @@ def isomorphisms(G: Group, H: Group, limit: Optional[int] = None) -> list:
                     search(i + 1, ext[0], ext[1])
 
         search(0, {0: 0}, {0})
+        del search  # it calls itself through its cell: break that cycle
     if limit is None:
         cache[H.digest] = out
         return list(out)

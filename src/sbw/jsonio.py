@@ -191,10 +191,8 @@ def poset_to_json(G: Group) -> dict:
     from . import posets
     poset = posets.build_poset(G)
     pairs = [pair_json(p) for p in poset.elements]
-    relation = []
-    for i, x in enumerate(poset.elements):
-        row = [j for j, y in enumerate(poset.elements) if poset.leq(x, y)]
-        relation.append(row)
+    relation = [[j for j in range(len(pairs)) if up >> j & 1]
+                for up in poset.up]
     return {"group": group_ref(G), "pairs": pairs, "leq": relation}
 
 

@@ -2,10 +2,13 @@
 calculus they induce.
 
 The generic engine works for any finite poset: elements are arbitrary
-hashable labels, the order is given by a predicate, joins may fail.  The
-instantiation used everywhere else is the poset of pairs (K, P) of
-commuting normal subgroups of a fixed group, ordered by K <= L, P >= Q,
-where joins always exist; its e/f idempotents live in Gamma(G, G).
+hashable labels, the order is given by a predicate, joins may fail.
+Positions are the key: the order (``up``), joins (``join_index``) and the
+Mobius function are all stated on element positions, and a label is
+looked up in ``index`` only at the API edge.  The instantiation used
+everywhere else is the poset of pairs (K, P) of commuting normal
+subgroups of a fixed group, ordered by K <= L, P >= Q, where joins always
+exist; its e/f idempotents live in Gamma(G, G).
 """
 
 from __future__ import annotations
@@ -55,9 +58,6 @@ class FinitePoset:
     def __len__(self):
         return len(self.elements)
 
-    def leq(self, x, y) -> bool:
-        return (self.up[self.index[x]] >> self.index[y]) & 1 == 1
-
     def join_index(self, i: int, j: int) -> Optional[int]:
         """Index of the join, or None when no least upper bound exists."""
         joins = memo.table(self, "join")
@@ -75,10 +75,6 @@ class FinitePoset:
                 break
         joins[key] = found
         return found
-
-    def join(self, x, y):
-        m = self.join_index(self.index[x], self.index[y])
-        return None if m is None else self.elements[m]
 
     @memo.once
     def mobius(self) -> dict:
@@ -132,22 +128,23 @@ def pair_leq(x: tuple, y: tuple) -> bool:
 def build_poset(G: Group) -> FinitePoset:
     """The poset of commuting normal pairs of G; joins are (KL, P n Q)."""
     poset = FinitePoset(normal_commuting_pairs(G), pair_leq)
-    bottom = (G.trivial_subgroup(), G.full_subgroup())
-    top = (G.full_subgroup(), G.trivial_subgroup())
-    assert all(poset.leq(bottom, x) for x in poset.elements)
-    assert all(poset.leq(x, top) for x in poset.elements)
+    bottom = poset.index[G.trivial_subgroup(), G.full_subgroup()]
+    top = poset.index[G.full_subgroup(), G.trivial_subgroup()]
+    assert poset.up[bottom] == (1 << len(poset)) - 1
+    assert all(up >> top & 1 for up in poset.up)
     # Few distinct subgroups occur, so each product and meet is built once.
     prods: dict = {}
     meets: dict = {}
-    for x in poset.elements:
-        for y in poset.elements:
-            kl = prods.get((x[0], y[0]))
+    for i, (K, P) in enumerate(poset.elements):
+        for j, (L, Q) in enumerate(poset.elements):
+            kl = prods.get((K.elems, L.elems))
             if kl is None:
-                kl = prods[x[0], y[0]] = product_set(x[0], y[0])
-            pq = meets.get((x[1], y[1]))
+                kl = prods[K.elems, L.elems] = product_set(K, L)
+            pq = meets.get((P.elems, Q.elems))
             if pq is None:
-                pq = meets[x[1], y[1]] = intersection(x[1], y[1])
-            if poset.join(x, y) != (kl, pq):
+                pq = meets[P.elems, Q.elems] = intersection(P, Q)
+            k = poset.join_index(i, j)
+            if k is None or poset.elements[k] != (kl, pq):
                 raise NotInPoset("join structure is inconsistent")
     return poset
 

@@ -299,16 +299,29 @@ _TWO_SIDED_LIMIT = 150
 
 
 def _e_data(G: Group):
-    """Pairs, poset, normalized e elements, and their single support classes."""
+    """Pairs, poset, normalized e elements, and their single support
+    classes; the last two are lists by poset position."""
     pairs = posets.normal_commuting_pairs(G)
     poset = posets.build_poset(G)
-    es = {p: posets.e_idempotent(G, p) for p in pairs}
-    ecls = {}
-    for p in pairs:
-        (cls, num), = es[p].nums.items()
-        assert num == 1, p  # e = [cls] / (G:P), so the scale d is es[p].den
-        ecls[p] = (cls, es[p].den)
+    es = [posets.e_idempotent(G, p) for p in pairs]
+    ecls = []
+    for p, e in zip(pairs, es):
+        (cls, num), = e.nums.items()
+        assert num == 1, p  # e = [cls] / (G:P), so the scale d is e.den
+        ecls.append((cls, e.den))
     return pairs, poset, es, ecls
+
+
+def _covering_data(G: Group, poset):
+    """The linkage partition, its blocks as lists of poset positions with
+    the block of each position, the covering basis, and each basis class's
+    (l0, r0) middles as positions; each label is looked up once."""
+    part = classify.linkage_partition(G)
+    blocks = [[poset.index[p] for p in block] for block in part.blocks]
+    block_of = {x: i for i, block in enumerate(blocks) for x in block}
+    basis = classify.covering_basis(G)
+    mids = [tuple(poset.index[m] for m in b.middles()) for b in basis]
+    return part, blocks, block_of, basis, mids
 
 
 def _coset_counter(G: Group) -> Callable:
@@ -331,23 +344,21 @@ def _coset_counter(G: Group) -> Callable:
 
 def _join_wants(G: Group, pairs, poset, middles) -> dict:
     """m0 -> (joins, scales, lefts, rights), tuples in pair order, for each
-    distinct m0 in middles: for b with left (right) middle invariant m0,
-    E_z o b (b o E_z) must be lefts[i] (rights[i]) times one class whose
-    invariant on that side is joins[i] = z v m0; lefts[i] = |P_z\\G/P_m0|,
-    rights[i] = |P_m0\\G/P_z|.  If z <= m0, that class is b and the
-    multiplicity scales[i] = (G:P_z); else scales[i] = 0.  Each distinct m0
-    costs one join per pair.
+    distinct position m0 in middles: for b with left (right) middle
+    invariant m0, E_z o b (b o E_z) must be lefts[i] (rights[i]) times one
+    class whose invariant on that side is pairs[joins[i]], z v m0;
+    lefts[i] = |P_z\\G/P_m0|, rights[i] = |P_m0\\G/P_z|.  If z <= m0, that
+    class is b and the multiplicity scales[i] = (G:P_z); else scales[i] = 0.
+    Each distinct m0 costs one join per pair.
     """
     cosets = _coset_counter(G)
-    ups = [poset.up[poset.index[z]] for z in pairs]
     wants = {}
     for m0 in dict.fromkeys(middles):
-        bit = poset.index[m0]
-        wants[m0] = (tuple(poset.join(z, m0) for z in pairs),
-                     tuple(G.order // z[1].order if up >> bit & 1 else 0
-                           for z, up in zip(pairs, ups)),
-                     tuple(cosets(z[1], m0[1]) for z in pairs),
-                     tuple(cosets(m0[1], z[1]) for z in pairs))
+        wants[m0] = (tuple(poset.join_index(z, m0) for z in range(len(pairs))),
+                     tuple(G.order // z[1].order if up >> m0 & 1 else 0
+                           for z, up in zip(pairs, poset.up)),
+                     tuple(cosets(z[1], pairs[m0][1]) for z in pairs),
+                     tuple(cosets(pairs[m0][1], z[1]) for z in pairs))
     return wants
 
 
@@ -362,7 +373,7 @@ def _class_actions(b, pairs, lefts, rights, want_l, want_r) -> None:
         for z, prod, join, count, scale in zip(
                 pairs, prods, joins, counts, scales, strict=True):
             (cls, m), = prod.items()
-            assert cls.middles()[side] == join, (z, b.key)
+            assert cls.middles()[side] == pairs[join], (z, b.key)
             assert m == count, (z, b.key)
             if scale:
                 assert cls == b and m == scale, (z, b.key)
@@ -389,29 +400,27 @@ def _idempotents_common(out: list, gid: str, G: Group, pairs, poset, ecls):
     def grid():
         n = 0
         cosets = _coset_counter(G)
-        e_classes = [ecls[w][0] for w in pairs]
-        for z in pairs:
-            Ez, dz = ecls[z]
+        e_classes = [E for E, _ in ecls]
+        for z, (Ez, dz) in enumerate(ecls):
             row = gamma.compose_row(Ez, e_classes)
-            for w, prod in zip(pairs, row):
-                _, dw = ecls[w]
-                join = poset.join(z, w)
-                mult = cosets(z[1], w[1])
+            for w, prod in enumerate(row):
+                join = poset.join_index(z, w)
+                mult = cosets(pairs[z][1], pairs[w][1])
                 assert prod == {ecls[join][0]: mult}, (z, w)
-                assert mult * ecls[join][1] == dz * dw, (z, w)
+                assert mult * ecls[join][1] == dz * ecls[w][1], (z, w)
                 n += 1
         return f"{n} products on {len(pairs)} pairs"
     _run(out, "idempotents", f"{gid} e-join grid", "e-join-grid", grid)
 
 
-def _idempotents_self_opposite(out: list, gid: str, G: Group, basis, ecls):
+def _idempotents_self_opposite(out: list, gid: str, G: Group, pairs, basis,
+                               mids, ecls):
     """b o b^op = |G:Q| [e_l0] for each covering class; shared by both modes."""
     def self_opposite():
         n = 0
-        for b in basis:
-            l0, r0 = b.middles()
+        for b, (l0, r0) in zip(basis, mids):
             prod = gamma.class_product(b, sections.opposite_class(b))
-            scale = G.order // r0[1].order
+            scale = G.order // pairs[r0][1].order
             assert prod == {ecls[l0][0]: scale}, b.key
             n += 1
         return f"{n} covering classes"
@@ -422,32 +431,31 @@ def _idempotents_self_opposite(out: list, gid: str, G: Group, basis, ecls):
 def _idempotents_full(out: list, gid: str, G: Group) -> None:
     """Exhaustive calculus: every product against every covering class."""
     pairs, poset, es, ecls = _e_data(G)
-    fs = {p: posets.f_idempotent(G, p) for p in pairs}
-    part = classify.linkage_partition(G)
-    basis = classify.covering_basis(G)
+    fs = [posets.f_idempotent(G, p) for p in pairs]
+    part, blocks, block_of, basis, mids = _covering_data(G, poset)
     ident = gamma.identity_element(G)
 
     def block_sums(elems) -> list:
-        """The sum of elems[p] over each linkage class, in block order."""
-        return [sum((elems[p] for p in block), gamma.zero(G, G))
-                for block in part.blocks]
+        """The sum of elems[x] over each linkage class, in block order."""
+        return [sum((elems[x] for x in block), gamma.zero(G, G))
+                for block in blocks]
 
     _idempotents_common(out, gid, G, pairs, poset, ecls)
 
     def f_laws():
         n = 0
-        for x in pairs:
-            for y in pairs:
-                ef = gamma.compose(es[x], fs[y])
-                fe = gamma.compose(fs[y], es[x])
-                if posets.pair_leq(x, y):
-                    assert ef == fs[y] and fe == fs[y], (x, y)
+        for x, e in enumerate(es):
+            for y, f in enumerate(fs):
+                ef = gamma.compose(e, f)
+                fe = gamma.compose(f, e)
+                if poset.up[x] >> y & 1:
+                    assert ef == f and fe == f, (x, y)
                 else:
                     assert ef.is_zero() and fe.is_zero(), (x, y)
-                ff = gamma.compose(fs[x], fs[y])
-                assert (ff == fs[x]) if x == y else ff.is_zero(), (x, y)
+                ff = gamma.compose(fs[x], f)
+                assert (ff == f) if x == y else ff.is_zero(), (x, y)
                 n += 1
-        assert sum(fs.values(), gamma.zero(G, G)) == ident
+        assert sum(fs, gamma.zero(G, G)) == ident
         return f"{n} pairs, sum of f equals identity"
     _run(out, "idempotents", f"{gid} Moebius idempotent laws",
          "mobius-f-laws", f_laws)
@@ -471,12 +479,11 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
          "linkage-class-sums", class_sums)
 
     def covering_action():
-        middles = [b.middles() for b in basis]
-        want = _join_wants(G, pairs, poset, [m for lr in middles for m in lr])
-        e_classes = [ecls[z][0] for z in pairs]
+        want = _join_wants(G, pairs, poset, [m for lr in mids for m in lr])
+        e_classes = [E for E, _ in ecls]
         # lefts[i][j] = E_z o b for z = pairs[i], b = basis[j].
         lefts = [gamma.compose_row(Ez, basis) for Ez in e_classes]
-        for b, (l0, r0), col in zip(basis, middles, zip(*lefts)):
+        for b, (l0, r0), col in zip(basis, mids, zip(*lefts)):
             _class_actions(b, pairs, col, gamma.compose_row(b, e_classes),
                            want[l0], want[r0])
         n = len(pairs) * len(basis)
@@ -499,9 +506,8 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
         explicit = len(basis) <= _TWO_SIDED_LIMIT
         row_sums: dict = {}  # class d -> den * (d o f_Y), per block Y
         n = 0
-        for b, lefts in zip(basis, zip(*rows)):
-            l0, r0 = b.middles()
-            assert part.block_of[l0] == part.block_of[r0], b.key
+        for b, (l0, r0), lefts in zip(basis, mids, zip(*rows)):
+            assert block_of[l0] == block_of[r0], b.key
             comps = _central_split(terms, lefts,
                                    gamma.compose_row(b, support), den, b)
             n += 2 * len(fX)
@@ -533,7 +539,7 @@ def _idempotents_full(out: list, gid: str, G: Group) -> None:
         return f"{n} products, {mode}"
     _run(out, "idempotents", f"{gid} covering centrality",
          "covering-centrality", central)
-    _idempotents_self_opposite(out, gid, G, basis, ecls)
+    _idempotents_self_opposite(out, gid, G, pairs, basis, mids, ecls)
 
 
 def _idempotents_witness(out: list, gid: str, G: Group) -> None:
@@ -541,10 +547,7 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
     verified in join coordinates over the grid, and the covering action runs
     against one witness class per distinct left middle invariant."""
     pairs, poset, es, ecls = _e_data(G)
-    part = classify.linkage_partition(G)
-    basis = classify.covering_basis(G)
-    # poset.elements are the pairs in this order, so mob is keyed by the
-    # positions of pairs.
+    _, blocks, block_of, basis, mids = _covering_data(G, poset)
     mob = poset.mobius()
 
     _idempotents_common(out, gid, G, pairs, poset, ecls)
@@ -579,9 +582,8 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
             want = [0] * n
             want[x] = 1
             assert row == want, pairs[x]
-        bottom = (G.trivial_subgroup(), G.full_subgroup())
-        ident = gamma.identity_element(G)
-        assert es[bottom] == ident
+        bottom = poset.index[G.trivial_subgroup(), G.full_subgroup()]
+        assert es[bottom] == gamma.identity_element(G)
         total = {}
         for x in range(n):
             for z in range(n):
@@ -589,42 +591,40 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
                 if mz:
                     total[z] = total.get(z, 0) + mz
         total = {z: c for z, c in total.items() if c}
-        assert total == {poset.index[bottom]: 1}
-        for block in part.blocks:
+        assert total == {bottom: 1}
+        for block in blocks:
             for a in block:
                 for b in block:
-                    assert a == b or not posets.pair_leq(a, b), (a, b)
+                    assert a == b or not poset.up[a] >> b & 1, (a, b)
         return f"character matrix is the identity on {n} pairs"
     _run(out, "idempotents", f"{gid} Moebius idempotent laws",
          "mobius-f-laws", mobius_chars)
 
     def witness_action():
         by_l0 = {}
-        for c in basis:
-            l0 = c.middles()[0]
-            old = by_l0.get(l0)
-            if old is None or c.sort_key() < old.sort_key():
-                by_l0[l0] = c
-        witnesses = list(by_l0.values())
+        for c, lr in zip(basis, mids):
+            old = by_l0.get(lr[0])
+            if old is None or c.sort_key() < old[0].sort_key():
+                by_l0[lr[0]] = (c, lr)
+        witnesses = [c for c, _ in by_l0.values()]
         want = _join_wants(G, pairs, poset,
-                           [m for b in witnesses for m in b.middles()])
-        e_classes = [ecls[z][0] for z in pairs]
+                           [m for _, lr in by_l0.values() for m in lr])
+        e_classes = [E for E, _ in ecls]
         # lefts[i][j] = E_z o b for z = pairs[i], b = witnesses[j].
         lefts = [gamma.compose_row(Ez, witnesses) for Ez in e_classes]
         # |G| f_X = sum over x in X and z of mu(x, z) |P_z| E_z, because
         # e_z = E_z / (G:P_z).
         terms = []
-        for block in part.blocks:
+        for block in blocks:
             acc = {}
             for x in block:
-                for i, z in enumerate(pairs):
-                    mz = mob.get((poset.index[x], i))
+                for z, (_, Q) in enumerate(pairs):
+                    mz = mob.get((x, z))
                     if mz:
-                        acc[i] = acc.get(i, 0) + mz * z[1].order
-            terms.append([(i, q) for i, q in acc.items() if q])
-        for b, col in zip(witnesses, zip(*lefts)):
-            l0, r0 = b.middles()
-            assert part.block_of[l0] == part.block_of[r0], b.key
+                        acc[z] = acc.get(z, 0) + mz * Q.order
+            terms.append([(z, q) for z, q in acc.items() if q])
+        for (b, (l0, r0)), col in zip(by_l0.values(), zip(*lefts)):
+            assert block_of[l0] == block_of[r0], b.key
             mirrors = gamma.compose_row(b, e_classes)
             _class_actions(b, pairs, col, mirrors, want[l0], want[r0])
             # Per block: f_X acts the same from both sides (centrality);
@@ -635,7 +635,7 @@ def _idempotents_witness(out: list, gid: str, G: Group) -> None:
         return f"{n} composes over {len(by_l0)} witness classes"
     _run(out, "idempotents", f"{gid} covering witness actions",
          "covering-left-action", witness_action)
-    _idempotents_self_opposite(out, gid, G, basis, ecls)
+    _idempotents_self_opposite(out, gid, G, pairs, basis, mids, ecls)
 
 
 def suite_idempotents(max_order: int = 8, catalog=None) -> list:

@@ -1,5 +1,6 @@
 """Group core: tables, subgroups, quotients, cosets, automorphisms."""
 
+import gc
 import math
 import os
 import subprocess
@@ -17,8 +18,9 @@ from sbw.errors import (MixedParents, NoIdentity, NonAssociative, NotClosed,
 from sbw.groups import (Group, automorphism_count, conjugacy_classes, cyclic,
                         dihedral, direct_product, double_cosets,
                         generated_subgroup, group_from_perm_gens,
-                        normal_subgroups, product_set, quaternion, quotient,
-                        subgroup_lattice, symmetric, _validate_table)
+                        isomorphisms, normal_subgroups, product_set,
+                        quaternion, quotient, subgroup_lattice, symmetric,
+                        _validate_table)
 from sbw.jsonio import group_from_json
 
 
@@ -359,3 +361,18 @@ def test_generated_subgroups_satisfy_lagrange(data):
     assert G.order % H.order == 0
     elems = set(H.elems)
     assert all(G.mul(a, b) in elems for a in elems for b in elems)
+
+
+def test_isomorphism_search_leaves_no_reference_cycle():
+    # The backtracking search calls itself through its closure cell; an
+    # uncached call must break that cycle, so reference counting alone
+    # frees what the search built, with or without a limit.
+    D8, C6 = dihedral(8), cyclic(6)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(isomorphisms(D8, D8)) == 8
+        assert len(isomorphisms(C6, C6, limit=1)) == 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

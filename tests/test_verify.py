@@ -283,3 +283,23 @@ def test_witness_mode_passes_on_small_groups(monkeypatch, gid):
     # One call per witness class, one witness per distinct left middle.
     assert calls and len(set(calls)) == len(calls)
     assert out[3].detail.endswith(f" over {len(calls)} witness classes")
+
+
+def test_idempotent_checks_hash_few_subgroups(monkeypatch):
+    # The checks key the pair poset by position, and each covering class's
+    # middles are looked up once, so no per-pair or per-product loop hashes
+    # a subgroup.  Keyed by (K, P) tuples the same run made 150,544 calls;
+    # the bound is a tenth of that.
+    G = CAT.by_id("C4xC2").group
+    calls = []
+    real = groups.Subgroup.__hash__
+
+    def counted(self):
+        calls.append(None)
+        return real(self)
+
+    monkeypatch.setattr(groups.Subgroup, "__hash__", counted)
+    out = []
+    verify._idempotents_full(out, "C4xC2", G)
+    assert all(c.ok for c in out), [(c.name, c.detail) for c in out]
+    assert len(calls) <= 15_054
