@@ -102,6 +102,18 @@ MUTANTS = (
            "mz = mob.get((x, z))\n",
            "mz = mob.get((z, x))\n",
            (_WITNESS_MODE,)),
+    # The memo protocol: a key must hold every argument the result reads,
+    # and a stored None is a hit.
+    Mutant("gamma-group-keyed-by-k-alone", "src/sbw/classify.py",
+           "@memo.keyed(lambda K, P: (K.elems, P.elems))\ndef gamma_group",
+           "@memo.keyed(lambda K, P: K.elems)\ndef gamma_group",
+           ("tests/test_memo.py::test_gamma_group_keeps_one_entry_per_pair",
+            "tests/test_classify.py::"
+            "test_essential_reports_match_frozen_values")),
+    Mutant("keyed-misses-a-stored-none", "src/sbw/memo.py",
+           "hit = cache.get(key, _MISS)\n            if hit is _MISS:",
+           "hit = cache.get(key)\n            if hit is None:",
+           ("tests/test_memo.py::test_keyed_stores_a_none_result",)),
 )
 
 

@@ -175,6 +175,7 @@ class GammaGroup:
         return self.classes[self.group.inv(self.index[a])]
 
 
+@memo.keyed(lambda K, P: (K.elems, P.elems))
 def gamma_group(G: Group, K: Subgroup, P: Subgroup) -> GammaGroup:
     """The group Gamma_(G,K,P), its table certified row by row.
 
@@ -192,10 +193,6 @@ def gamma_group(G: Group, K: Subgroup, P: Subgroup) -> GammaGroup:
     opposite classes must be the group inverses, and |Gamma| must equal
     the order of Out of the crossed module.
     """
-    cache = memo.table(G, "gamma_group")
-    key = (K.elems, P.elems)
-    if key in cache:
-        return cache[key]
     if not crossed.in_poset(K, P):
         raise NotInPoset("gamma_group needs normal K, P with [K, P] = 1")
     found = sections.constrained_sections(G, G, K, P, K, P)
@@ -239,10 +236,8 @@ def gamma_group(G: Group, K: Subgroup, P: Subgroup) -> GammaGroup:
     out = len(crossed.aut_out(crossed.from_pair(G, K, P)).out_reps)
     if out != n:
         raise AxiomFailed(f"Gamma order {n} disagrees with Out order {out}")
-    gg = GammaGroup(G=G, K=K, P=P, classes=classes, index=index,
-                    group=group, scale=scale)
-    cache[key] = gg
-    return gg
+    return GammaGroup(G=G, K=K, P=P, classes=classes, index=index,
+                      group=group, scale=scale)
 
 
 def irr_count(gg: GammaGroup) -> int:
@@ -461,12 +456,9 @@ _READING_NOTE = (
     "when that cover falls short")
 
 
+@memo.keyed(lambda catalog=None: tuple(
+    (gid, H.digest) for gid, H in _catalog_groups(catalog)))
 def essential_report(G: Group, catalog=None) -> EssentialReport:
-    groups = _catalog_groups(catalog)
-    cache = memo.table(G, "essential_report")
-    key = tuple((gid, H.digest) for gid, H in groups)
-    if key in cache:
-        return cache[key]
     part = linkage_partition(G)
     statuses = {pair: reduced_status(G, pair, catalog)
                 for pair in part.pairs}
@@ -501,13 +493,11 @@ def essential_report(G: Group, catalog=None) -> EssentialReport:
         elif verdict == "Undetermined":
             hi += dim
             s_hi += irr
-    report = EssentialReport(
+    return EssentialReport(
         group=G, partition=part, blocks=tuple(blocks),
         essential_dim=lo if lo == hi else (lo, hi),
         simple_count=s_lo if s_lo == s_hi else (s_lo, s_hi),
         notes=_READING_NOTE)
-    cache[key] = report
-    return report
 
 
 def _predicted_from_report(report: EssentialReport) -> tuple:

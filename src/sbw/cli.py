@@ -23,7 +23,7 @@ from .groups import (automorphism_count, center, conjugacy_classes,
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise WorkbenchError(f"{what} is not valid JSON: {exc}")
     except RecursionError:
         raise WorkbenchError(f"{what} JSON is nested too deeply") from None
@@ -37,7 +37,7 @@ def _read_spec(spec: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _load_json(fh.read(), what)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise WorkbenchError(f"cannot read {what} from {path}: {exc}")
 
 

@@ -123,18 +123,12 @@ def in_poset(K: Subgroup, P: Subgroup) -> bool:
     return K.is_normal() and P.is_normal() and commute_elementwise(K, P)
 
 
+@memo.keyed(lambda K, P: (K.elems, P.elems))
 def from_pair(G: Group, K: Subgroup, P: Subgroup) -> CrossedModule:
     """The crossed module (P, G/K, i_P) attached to a commuting normal pair."""
-    cache = memo.table(G, "from_pair")
-    key = (K.elems, P.elems)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if not in_poset(K, P):
         raise NotInPoset(f"({K.elems}, {P.elems}) is not a commuting normal pair")
-    cm = conj_crossed_module(G, G.full_subgroup(), K, P, G.trivial_subgroup())
-    cache[key] = cm
-    return cm
+    return conj_crossed_module(G, G.full_subgroup(), K, P, G.trivial_subgroup())
 
 
 class CMorphism:
@@ -243,44 +237,44 @@ def link_section(X: Group, K: Subgroup, P: Subgroup,
 
     T is the graph of beta on K/L-cosets, S the graph of alpha.  T depends
     only on (K, L, beta) and S only on (P, Q, alpha), so each is built once
-    per key and kept in X's ``link_t`` / ``link_s`` memo.  The ``Section``
+    per key in X's memo (``_link_t``, ``_link_s``).  The ``Section``
     around them is made on every call, and with it the check that S <= T
     and that S is normal in T: that check is the certificate that the iso
     route's answer is a section.
     """
+    return sections.Section(X, _link_t(X, K, L, m.beta.images),
+                            _link_s(X, P, Q, m.alpha.images))
+
+
+@memo.keyed(lambda K, L, beta: (K.elems, L.elems, beta))
+def _link_t(X: Group, K: Subgroup, L: Subgroup, beta: tuple) -> Subgroup:
+    # generated by a lift of each generator of G, K x 1 and 1 x L
     G, H = K.parent, L.parent
-    alpha, beta = m.alpha.images, m.beta.images
     ho = H.order
-    t_memo = memo.table(X, "link_t")
-    t_key = (K.elems, L.elems, beta)
-    T = t_memo.get(t_key)
-    if T is None:
-        # generated by a lift of each generator of G, K x 1 and 1 x L
-        gk = coset_structure(G, G.full_subgroup(), K)
-        hl = coset_structure(H, H.full_subgroup(), L)
-        g_cosets, h_cosets = gk.members, hl.members
-        t_elems = [g * ho + h for j, hs in enumerate(h_cosets)
-                   for h in hs for g in g_cosets[beta[j]]]
-        pre = {c: j for j, c in enumerate(beta)}
-        t_gens = ([x * ho + h_cosets[pre[gk.idx(x)]][0]
-                   for x in G.generators()]
-                  + [k * ho for k in K.generators()] + list(L.generators()))
-        T = t_memo[t_key] = Subgroup(X, t_elems, gens=t_gens, check=False)
-    s_memo = memo.table(X, "link_s")
-    s_key = (P.elems, Q.elems, alpha)
-    S = s_memo.get(s_key)
-    if S is None:
-        # generated by the values of alpha on the generators of Q
-        pview = coset_structure(G, P, G.trivial_subgroup())
-        qview = coset_structure(H, Q, H.trivial_subgroup())
+    gk = coset_structure(G, G.full_subgroup(), K)
+    hl = coset_structure(H, H.full_subgroup(), L)
+    g_cosets, h_cosets = gk.members, hl.members
+    t_elems = [g * ho + h for j, hs in enumerate(h_cosets)
+               for h in hs for g in g_cosets[beta[j]]]
+    pre = {c: j for j, c in enumerate(beta)}
+    t_gens = ([x * ho + h_cosets[pre[gk.idx(x)]][0] for x in G.generators()]
+              + [k * ho for k in K.generators()] + list(L.generators()))
+    return Subgroup(X, t_elems, gens=t_gens, check=False)
 
-        def graph(q):
-            return pview.rep(alpha[qview.idx(q)]) * ho + q
 
-        S = s_memo[s_key] = Subgroup(X, map(graph, Q.elems),
-                                     gens=map(graph, Q.generators()),
-                                     check=False)
-    return sections.Section(X, T, S)
+@memo.keyed(lambda P, Q, alpha: (P.elems, Q.elems, alpha))
+def _link_s(X: Group, P: Subgroup, Q: Subgroup, alpha: tuple) -> Subgroup:
+    # generated by the values of alpha on the generators of Q
+    G, H = P.parent, Q.parent
+    ho = H.order
+    pview = coset_structure(G, P, G.trivial_subgroup())
+    qview = coset_structure(H, Q, H.trivial_subgroup())
+
+    def graph(q):
+        return pview.rep(alpha[qview.idx(q)]) * ho + q
+
+    return Subgroup(X, map(graph, Q.elems), gens=map(graph, Q.generators()),
+                    check=False)
 
 
 def theta(G: Group, K: Subgroup, P: Subgroup, m: CMorphism):

@@ -190,6 +190,7 @@ _NO_ROW: dict = {}
 _PRODUCTS = memo.table(None, "shared_products")
 
 
+@memo.keyed(lambda A, B: (A.elems, B.elems))
 def _twists(H: Group, A: Subgroup, B: Subgroup) -> tuple:
     """The double cosets A\\H/B as (perm, count) pairs, memoized in H.
 
@@ -198,16 +199,11 @@ def _twists(H: Group, A: Subgroup, B: Subgroup) -> tuple:
     equal perms twist alike, so each perm appears once, with the number
     of its representatives, in order of first appearance.
     """
-    cache = memo.table(H, "twists")
-    key = (A.elems, B.elems)
-    hit = cache.get(key)
-    if hit is None:
-        counts: dict = {}
-        for t in double_cosets(A, H, B):
-            perm = H.conj_perm(H.inv(t))
-            counts[perm] = counts.get(perm, 0) + 1
-        hit = cache[key] = tuple(counts.items())
-    return hit
+    counts: dict = {}
+    for t in double_cosets(A, H, B):
+        perm = H.conj_perm(H.inv(t))
+        counts[perm] = counts.get(perm, 0) + 1
+    return tuple(counts.items())
 
 
 def _star(index_lists, rows) -> tuple:

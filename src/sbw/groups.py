@@ -129,16 +129,12 @@ class Group:
         """g * x * g^-1."""
         return self.table[self.table[g][x]][self._inv[g]]
 
+    @memo.keyed(lambda g: g)
     def conj_perm(self, g: int) -> tuple:
         """The permutation x -> g*x*g^-1 as an image tuple."""
-        cache = memo.table(self, "conj_perm")
-        perm = cache.get(g)
-        if perm is None:
-            row = self.table[g]
-            gi = self._inv[g]
-            perm = tuple(self.table[row[x]][gi] for x in range(self.order))
-            cache[g] = perm
-        return perm
+        row = self.table[g]
+        gi = self._inv[g]
+        return tuple(self.table[row[x]][gi] for x in range(self.order))
 
     @memo.once
     def element_orders(self) -> tuple:
@@ -304,15 +300,12 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
 
+@memo.keyed(lambda elems: elems)
 def shared_subgroup(G: Group, elems: tuple) -> Subgroup:
     """The unchecked subgroup of G on the ascending tuple ``elems``, one
     object per (G, elems): section classes hold thousands of references to
     a few dozen subgroups of their factors."""
-    cache = memo.table(G, "shared_subgroup")
-    hit = cache.get(elems)
-    if hit is None:
-        hit = cache[elems] = Subgroup(G, elems, check=False)
-    return hit
+    return Subgroup(G, elems, check=False)
 
 
 def generated_subgroup(G: Group, gens: Sequence[int]) -> Subgroup:
@@ -811,11 +804,6 @@ class CosetView:
         return self.members[i][0]
 
 
+@memo.keyed(lambda P, K: (P.elems, K.elems))
 def coset_structure(parent: Group, P: Subgroup, K: Subgroup) -> CosetView:
-    cache = memo.table(parent, "coset_structure")
-    key = (P.elems, K.elems)
-    hit = cache.get(key)
-    if hit is None:
-        hit = CosetView(parent, P, K)
-        cache[key] = hit
-    return hit
+    return CosetView(parent, P, K)

@@ -58,23 +58,17 @@ class FinitePoset:
     def __len__(self):
         return len(self.elements)
 
+    @memo.keyed(lambda i, j: (i, j) if i <= j else (j, i))
     def join_index(self, i: int, j: int) -> Optional[int]:
         """Index of the join, or None when no least upper bound exists."""
-        joins = memo.table(self, "join")
-        key = (i, j) if i <= j else (j, i)
-        if key in joins:
-            return joins[key]
         common = self.up[i] & self.up[j]
-        found = None
         mask = common
         while mask:
             m = (mask & -mask).bit_length() - 1
             mask &= mask - 1
             if self.up[m] == common:
-                found = m
-                break
-        joins[key] = found
-        return found
+                return m
+        return None
 
     @memo.once
     def mobius(self) -> dict:
@@ -128,8 +122,10 @@ def pair_leq(x: tuple, y: tuple) -> bool:
 def build_poset(G: Group) -> FinitePoset:
     """The poset of commuting normal pairs of G; joins are (KL, P n Q)."""
     poset = FinitePoset(normal_commuting_pairs(G), pair_leq)
-    bottom = poset.index[G.trivial_subgroup(), G.full_subgroup()]
-    top = poset.index[G.full_subgroup(), G.trivial_subgroup()]
+    # Pairs are compared as element tuples, in C.
+    elems = [(K.elems, P.elems) for K, P in poset.elements]
+    full = tuple(range(G.order))
+    bottom, top = elems.index(((0,), full)), elems.index((full, (0,)))
     assert poset.up[bottom] == (1 << len(poset)) - 1
     assert all(up >> top & 1 for up in poset.up)
     # Few distinct subgroups occur, so each product and meet is built once.
@@ -139,12 +135,12 @@ def build_poset(G: Group) -> FinitePoset:
         for j, (L, Q) in enumerate(poset.elements):
             kl = prods.get((K.elems, L.elems))
             if kl is None:
-                kl = prods[K.elems, L.elems] = product_set(K, L)
+                kl = prods[K.elems, L.elems] = product_set(K, L).elems
             pq = meets.get((P.elems, Q.elems))
             if pq is None:
-                pq = meets[P.elems, Q.elems] = intersection(P, Q)
+                pq = meets[P.elems, Q.elems] = intersection(P, Q).elems
             k = poset.join_index(i, j)
-            if k is None or poset.elements[k] != (kl, pq):
+            if k is None or elems[k] != (kl, pq):
                 raise NotInPoset("join structure is inconsistent")
     return poset
 

@@ -399,6 +399,7 @@ def opposite_class(cls: SectionClass) -> SectionClass:
 
 # -- constrained enumeration ---------------------------------------------------
 
+@memo.keyed(lambda K, L: (K.elems, L.elems))
 def _t_candidates(ambient: Group, K: Subgroup, L: Subgroup) -> tuple:
     """(gi, one (etaT on H, T elems, T gens) per iso etaT: H/L -> G/K).
 
@@ -406,11 +407,6 @@ def _t_candidates(ambient: Group, K: Subgroup, L: Subgroup) -> tuple:
     T = {(g, h) : etaT(hL) = gK} is the graph of etaT.  All of it depends
     on (K, L) alone, so it is built once per pair in the product's memo.
     """
-    cache = memo.table(ambient, "t_candidates")
-    key = (K.elems, L.elems)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     G, H = ambient.factors
     gk = coset_structure(G, G.full_subgroup(), K)
     hl = coset_structure(H, H.full_subgroup(), L)
@@ -429,10 +425,10 @@ def _t_candidates(ambient: Group, K: Subgroup, L: Subgroup) -> tuple:
         t_gens = tuple([x * ho + cosets[pre[gi[x]]][0]
                         for x in G.generators()] + kl_gens)
         out.append((tuple([images[j] for j in hi]), t_elems, t_gens))
-    cache[key] = hit = (gi, tuple(out))
-    return hit
+    return gi, tuple(out)
 
 
+@memo.keyed(lambda P, Q: (P.elems, Q.elems))
 def _s_candidates(ambient: Group, P: Subgroup, Q: Subgroup) -> tuple:
     """(Q's generators, one (alpha on them, S set, S sorted, S gens) per
     iso etaS: Q -> P).
@@ -441,11 +437,6 @@ def _s_candidates(ambient: Group, P: Subgroup, Q: Subgroup) -> tuple:
     depends on (P, Q) alone, so it is built once per pair in the product's
     memo.
     """
-    cache = memo.table(ambient, "s_candidates")
-    key = (P.elems, Q.elems)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     G, H = ambient.factors
     pv = coset_structure(G, P, G.trivial_subgroup())
     qv = coset_structure(H, Q, H.trivial_subgroup())
@@ -459,8 +450,7 @@ def _s_candidates(ambient: Group, P: Subgroup, Q: Subgroup) -> tuple:
         out.append((tuple([alpha[q] for q in q_gens]), s_set,
                     tuple(sorted(s_set)),
                     tuple([alpha[q] * ho + q for q in q_gens])))
-    cache[key] = hit = (q_gens, tuple(out))
-    return hit
+    return q_gens, tuple(out)
 
 
 def _constrained_pairs(ambient: Group, K: Subgroup, P: Subgroup,
@@ -494,16 +484,15 @@ def constrained_sections(G: Group, H: Group, K: Subgroup, P: Subgroup,
     # orders leave no class at all.
     if G.order // K.order != H.order // L.order or P.order != Q.order:
         return ()
-    ambient = direct_product(G, H)
-    cache = memo.table(ambient, "constrained_sections")
-    key = (K.elems, P.elems, L.elems, Q.elems)
-    hit = cache.get(key)
-    if hit is None:
-        cache[key] = hit = tuple(sorted(
-            {canonical_section(ambient, t, s)
-             for t, s in _constrained_pairs(ambient, K, P, L, Q)},
-            key=SectionClass.sort_key))
-    return hit
+    return _constrained_classes(direct_product(G, H), K, P, L, Q)
+
+
+@memo.keyed(lambda K, P, L, Q: (K.elems, P.elems, L.elems, Q.elems))
+def _constrained_classes(ambient: Group, K: Subgroup, P: Subgroup,
+                         L: Subgroup, Q: Subgroup) -> tuple:
+    return tuple(sorted({canonical_section(ambient, t, s)
+                         for t, s in _constrained_pairs(ambient, K, P, L, Q)},
+                        key=SectionClass.sort_key))
 
 
 def has_constrained_section(X: Group, K: Subgroup, P: Subgroup,

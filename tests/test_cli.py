@@ -213,6 +213,52 @@ def test_deeply_nested_json_is_reported(capsys):
     assert data["error"]["message"] == "element a JSON is nested too deeply"
 
 
+HUGE = "9" * 5000   # over Python's default 4,300-digit int-string limit
+
+
+@pytest.fixture(params=["limit", "no-limit"])
+def int_digits(request):
+    """Run with the int-string limit and without it (0), as on a Python
+    that has none: then the readers must reject the value itself."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if request.param == "no-limit" and old:
+        sys.set_int_max_str_digits(0)
+    yield
+    if old:
+        sys.set_int_max_str_digits(old)
+
+
+def _assert_error(code, out):
+    assert code == 1
+    assert list(json.loads(out)) == ["error"]
+
+
+def test_over_long_integer_in_an_inline_element_is_reported(capsys,
+                                                            int_digits):
+    _assert_error(*run(capsys, "compose", "--groups", "C2", "C2", "C2",
+                       "--a", '{"T":[0,%s],"S":[0]}' % HUGE,
+                       "--b", '{"T":[0,3],"S":[0]}'))
+
+
+@pytest.mark.parametrize("argv", [("catalog", "load", "{path}"),
+                                  ("group", "info", "--group", "C2",
+                                   "--catalog", "{path}")])
+def test_over_long_integer_in_a_catalog_file_is_reported(capsys, tmp_path,
+                                                         int_digits, argv):
+    path = tmp_path / "cat.json"
+    path.write_text('{"complete_orders":[1,2],"groups":[{"id":"C2",'
+                    '"group":{"table":[[0,1],[1,%s]]}}]}' % HUGE)
+    _assert_error(*run(capsys, *(a.format(path=path) for a in argv)))
+
+
+@pytest.mark.parametrize("argv", [("catalog", "load", "{path}"),
+                                  ("group", "info", "--group", "@{path}")])
+def test_a_json_file_that_is_not_utf8_is_reported(capsys, tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"groups":[\xff]}')
+    _assert_error(*run(capsys, *(a.format(path=path) for a in argv)))
+
+
 def test_idempotents(capsys):
     code, data = run_json(capsys, "idempotents", "--group", "C4")
     assert code == 0

@@ -565,9 +565,9 @@ def test_twist_memo_belongs_to_each_middle_group():
         twists.append(gamma._twists(H, A, B))
         assert sum(c for _, c in twists[-1]) == \
             len(groups.double_cosets(A, H, B))
-        assert list(memo.table(H, "twists")) == [(A.elems, B.elems)]
+        assert list(memo.table(H, "_twists")) == [(A.elems, B.elems)]
     assert twists[0] == twists[1]
-    assert memo.table(H1, "twists") is not memo.table(H2, "twists")
+    assert memo.table(H1, "_twists") is not memo.table(H2, "_twists")
 
 
 def forget_products(a, bs):

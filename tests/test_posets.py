@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sbw import gamma, posets
+from sbw import gamma, groups, posets
 from sbw.catalog import default_catalog
 from sbw.errors import NotInPoset
 
@@ -61,6 +61,17 @@ def test_join_is_the_least_upper_bound(gid):
             for z in range(n):
                 if leq(poset, x, z) and leq(poset, y, z):
                     assert leq(poset, j, z)
+
+
+def test_building_the_poset_compares_no_subgroup_objects(monkeypatch):
+    # Joins and the bottom and top pairs are checked as element tuples.
+    calls = []
+    eq = groups.Subgroup.__eq__
+    monkeypatch.setattr(groups.Subgroup, "__eq__",
+                        lambda a, b: calls.append(1) or eq(a, b))
+    G = groups.Group(cg("C4xC2").table)
+    assert len(posets.build_poset(G)) == 64
+    assert calls == []
 
 
 def _brute_mobius(poset):
